@@ -6,7 +6,9 @@ Everything here runs on plain float64 numpy. The three layers on display:
 
   * LoraAdapter      -- one rank-r update  delta(x) = (alpha/r) * B A x
   * Router           -- two-layer MLP ending in a softmax over experts
-  * MolreLayer       -- frozen W0 plus K low-rank experts blended by the router
+  * MolreLayer       -- frozen W0 plus K low-rank experts blended by the router;
+                        the K experts are stacked into one A (K*r x d_in) and
+                        one B (d_out x K*r)
 """
 
 import numpy as np
@@ -50,8 +52,9 @@ adapter.B.data[...] = rng.normal(size=adapter.B.shape)  # pretend it trained
 
 solo = MolreLayer(w0, ExpertBank(1, d_in, d_out, rank), Router(d_in, 1, hidden))
 solo.init(RngStream(3))
-solo.bank.A[0].data[...] = adapter.A.data
-solo.bank.B[0].data[...] = adapter.B.data
+# the bank stacks its experts: expert 0 is rows 0:rank of A, columns 0:rank of B
+solo.bank.A.data[:rank] = adapter.A.data
+solo.bank.B.data[:, :rank] = adapter.B.data
 
 diff = np.abs(solo.forward(x).data - lora_forward(adapter, w0, x).data).max()
 print(f"K=1 vs plain adapter, max |diff|: {diff:.2e}")

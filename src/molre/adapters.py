@@ -10,6 +10,16 @@ gates are soft — every expert contributes on every input, there is no top-k
 truncation — and they are learned purely from the task loss. W0 stays frozen;
 only the expert pairs and the router train.
 
+The bank stacks its experts: A is (K*r, d_in) with expert i in rows
+i*r:(i+1)*r, and B is (d_out, K*r) with expert i in the same columns. For a
+batch of rows X the sum over experts is then one matmul chain,
+
+    H = X W0^T + s * ((X A^T) * repeat(G, r)) B^T,
+
+with no loop over experts. Adapters read frozen trunk features, so their
+backward passes accumulate parameter gradients only and return no input
+gradient.
+
 The expert scaling s defaults to alpha/rank so that a K=1 mixture collapses
 exactly to the plain low-rank adapter baseline.
 """
@@ -19,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import RngStream
-from .tensor import ShapeError, Tensor, relu_backward, softmax, softmax_backward
+from .tensor import ShapeError, Tensor, softmax, softmax_backward
 
 
 class LoraAdapter:
@@ -51,14 +61,12 @@ class LoraAdapter:
         """Adapter contribution for a batch of rows x (N x d_in)."""
         return self.scaling * ((x @ self.A.data.T) @ self.B.data.T)
 
-    def delta_backward(self, grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Accumulate A/B gradients; returns the gradient w.r.t. x."""
+    def delta_backward(self, grad_out: np.ndarray, x: np.ndarray) -> None:
+        """Accumulate A/B gradients."""
         u = x @ self.A.data.T
         gv = self.scaling * grad_out
         self.B.grad += gv.T @ u
-        gu = gv @ self.B.data
-        self.A.grad += gu.T @ x
-        return gu @ self.A.data
+        self.A.grad += (gv @ self.B.data).T @ x
 
     def parameters(self) -> dict[str, Tensor]:
         return {"lora.A": self.A, "lora.B": self.B}
@@ -75,7 +83,9 @@ def lora_forward(adapter: LoraAdapter, w0: Tensor, x) -> Tensor:
 
 
 class ExpertBank:
-    """K low-rank expert pairs sharing one (rank, d_in, d_out) signature."""
+    """K low-rank experts sharing one (rank, d_in, d_out) signature, stacked:
+    A is (K*rank, d_in), B is (d_out, K*rank); expert i owns rows (of A) and
+    columns (of B) i*rank:(i+1)*rank."""
 
     def __init__(self, num_experts: int, d_in: int, d_out: int, rank: int = 8):
         if num_experts < 1:
@@ -86,23 +96,16 @@ class ExpertBank:
         self.d_in = d_in
         self.d_out = d_out
         self.rank = rank
-        self.A = [Tensor.zeros((rank, d_in), requires_grad=True) for _ in range(num_experts)]
-        self.B = [Tensor.zeros((d_out, rank), requires_grad=True) for _ in range(num_experts)]
+        self.A = Tensor.zeros((num_experts * rank, d_in), requires_grad=True)
+        self.B = Tensor.zeros((d_out, num_experts * rank), requires_grad=True)
 
     def init(self, rng: RngStream) -> None:
-        # A_i ~ N(0, 1/d_in), B_i = 0: the mixture starts as an exact no-op.
-        for i in range(self.num_experts):
-            self.A[i].data[...] = rng.normal(
-                0.0, 1.0 / np.sqrt(self.d_in), self.A[i].shape
-            )
-            self.B[i].data.fill(0.0)
+        # A ~ N(0, 1/d_in), B = 0: the mixture starts as an exact no-op.
+        self.A.data[...] = rng.normal(0.0, 1.0 / np.sqrt(self.d_in), self.A.shape)
+        self.B.data.fill(0.0)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i in range(self.num_experts):
-            out[f"experts.{i}.A"] = self.A[i]
-            out[f"experts.{i}.B"] = self.B[i]
-        return out
+        return {"experts.A": self.A, "experts.B": self.B}
 
 
 class Router:
@@ -131,21 +134,23 @@ class Router:
         xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xv.ndim != 2 or xv.shape[1] != self.d_in:
             raise ShapeError(f"router: expected (N, {self.d_in}), got {xv.shape}")
-        pre = xv @ self.W1.data.T + self.b1.data
-        hid = np.maximum(pre, 0.0)
+        # in place: a fresh (N, hidden) array costs more than the add or the relu
+        hid = xv @ self.W1.data.T
+        hid += self.b1.data
+        np.maximum(hid, 0.0, out=hid)
         logits = hid @ self.W2.data.T + self.b2.data
         gates = softmax(logits, axis=1).data
-        return gates, {"x": xv, "pre": pre, "hid": hid, "gates": gates}
+        return gates, {"x": xv, "hid": hid, "gates": gates}
 
-    def backward(self, cache: dict, grad_gates: np.ndarray) -> np.ndarray:
+    def backward(self, cache: dict, grad_gates: np.ndarray) -> None:
+        """Accumulate the router's parameter gradients."""
         glogits = softmax_backward(grad_gates, cache["gates"], axis=1)
         self.W2.grad += glogits.T @ cache["hid"]
         self.b2.grad += glogits.sum(axis=0)
-        ghid = glogits @ self.W2.data
-        gpre = relu_backward(ghid, cache["pre"])
+        gpre = glogits @ self.W2.data
+        gpre *= cache["hid"] > 0.0  # relu backward: hid > 0 exactly where its input is
         self.W1.grad += gpre.T @ cache["x"]
         self.b1.grad += gpre.sum(axis=0)
-        return gpre @ self.W1.data
 
     def parameters(self) -> dict[str, Tensor]:
         return {
@@ -220,31 +225,21 @@ class MolreLayer:
         if xv.ndim != 2 or xv.shape[1] != self.bank.d_in:
             raise ShapeError(f"mixture: expected (N, {self.bank.d_in}), got {xv.shape}")
         gates, rcache = self.router.forward_cached(xv)
-        out = xv @ self.w0.data.T
-        s = self.expert_scale
-        us, vs = [], []
-        for i in range(self.bank.num_experts):
-            u = xv @ self.bank.A[i].data.T
-            v = u @ self.bank.B[i].data.T
-            out += (s * gates[:, i:i + 1]) * v
-            us.append(u)
-            vs.append(v)
-        return out, {"x": xv, "router": rcache, "gates": gates, "u": us, "v": vs}
+        u = xv @ self.bank.A.data.T  # (N, K*r): every expert's down-projection
+        rep_gates = np.repeat(gates, self.bank.rank, axis=1)  # gate i on expert i's r columns
+        ug = u * rep_gates
+        out = xv @ self.w0.data.T + self.expert_scale * (ug @ self.bank.B.data.T)
+        return out, {"x": xv, "router": rcache, "u": u, "rep_gates": rep_gates, "ug": ug}
 
-    def backward(self, cache: dict, grad_out: np.ndarray) -> np.ndarray:
-        xv, gates = cache["x"], cache["gates"]
-        s = self.expert_scale
-        gx = grad_out @ self.w0.data  # frozen W0 still propagates to x
-        ggates = np.empty_like(gates)
-        for i in range(self.bank.num_experts):
-            gv = (s * gates[:, i:i + 1]) * grad_out
-            self.bank.B[i].grad += gv.T @ cache["u"][i]
-            gu = gv @ self.bank.B[i].data
-            self.bank.A[i].grad += gu.T @ xv
-            gx += gu @ self.bank.A[i].data
-            ggates[:, i] = s * (grad_out * cache["v"][i]).sum(axis=1)
-        gx += self.router.backward(cache["router"], ggates)
-        return gx
+    def backward(self, cache: dict, grad_out: np.ndarray) -> None:
+        """Accumulate bank and router gradients. W0 is frozen and x is a
+        frozen feature, so no input gradient is formed."""
+        gs = self.expert_scale * grad_out
+        self.bank.B.grad += gs.T @ cache["ug"]
+        gug = gs @ self.bank.B.data
+        self.bank.A.grad += (gug * cache["rep_gates"]).T @ cache["x"]
+        ggates = (gug * cache["u"]).reshape(-1, self.bank.num_experts, self.bank.rank).sum(axis=2)
+        self.router.backward(cache["router"], ggates)
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.bank.parameters())

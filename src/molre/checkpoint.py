@@ -9,7 +9,11 @@ Layout (all integers little-endian):
       kind 1 (json):   u64 byte length | utf-8 json document
 
 Tensors are stored as raw float64, so a save/load round-trip is bit-exact;
-that is what makes resumed training reproduce an uninterrupted run."""
+that is what makes resumed training reproduce an uninterrupted run.
+
+Version 2 stores each expert bank as two stacked tensors, `experts.A` and
+`experts.B`; version 1 stored one `experts.{i}.A` / `experts.{i}.B` pair per
+expert and is rejected."""
 
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 CHECKPOINT_MAGIC = b"MLCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _KIND_TENSOR = 0
 _KIND_JSON = 1

@@ -6,7 +6,9 @@ parameter accounting.
     molre eval         --checkpoint best.ckpt [--split test] [--out DIR]
     molre count-params [--config c.cfg] [--set k=v ...]
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort.
+Exit codes: 0 success, 2 config error, 3 data error (missing or malformed
+data or checkpoint, or an evaluation split where no class has both labels),
+4 numerical abort.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, apply_overrides, load_config
-from .metrics import evaluate, format_param_table, param_report, write_report
+from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
 from .synthetic import SynthConfig, class_prevalences, synth_sample
 from .training import NumericalAbort, Trainer, build_model, predict_probs
 from .volumes import DataError, DiskDataset, write_manifest, write_volume
@@ -189,7 +191,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CheckpointError, OSError) as e:
+    except (DataError, CheckpointError, EvaluationError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalAbort as e:

@@ -4,6 +4,11 @@ The protocol trains two groups: classification head + pooling query at one
 learning rate, adapter/router parameters at a tenth of it. The decay step
 multiplies parameters by (1 - lr * wd) before the moment update, so wd=0
 reproduces plain Adam bit for bit.
+
+Each group's data, gradients and moments are one contiguous vector apiece
+(an arena), so an update is a few whole-vector operations. Building the
+optimizer copies each parameter in and rebinds its data and grad to views of
+the arena; arrays taken from a tensor before that no longer alias it.
 """
 
 from __future__ import annotations
@@ -31,31 +36,35 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        for params in self.groups.values():
+        self.arenas: dict[str, tuple[np.ndarray, ...]] = {}  # group -> (data, grad, m, v)
+        self.moments: dict[str, np.ndarray] = {}  # "opt.m.<name>", "opt.v.<name>" -> views
+        for gname, params in self.groups.items():
+            n = sum(t.size for t in params.values())
+            data, grad, _, _ = arena = tuple(np.zeros(n) for _ in range(4))
+            off = 0
             for name, t in params.items():
-                self.m[name] = np.zeros_like(t.data)
-                self.v[name] = np.zeros_like(t.data)
+                if t.grad is None:
+                    raise ValueError(f"parameter {name!r} has no gradient buffer")
+                span = slice(off, off + t.size)
+                data[span], grad[span] = t.data.ravel(), t.grad.ravel()
+                views = (a[span].reshape(t.shape) for a in arena)
+                t.data, t.grad, self.moments[f"opt.m.{name}"], self.moments[f"opt.v.{name}"] = views
+                off += t.size
+            self.arenas[gname] = arena
 
     def zero_grad(self) -> None:
-        for params in self.groups.values():
-            for t in params.values():
-                t.zero_grad()
+        for _, grad, _, _ in self.arenas.values():
+            grad.fill(0.0)
 
     def clip_global_norm(self, max_norm: float) -> float:
         """Scale all gradients so their joint L2 norm is at most max_norm.
         Returns the pre-clip norm. No-op when max_norm <= 0."""
-        sq = 0.0
-        for params in self.groups.values():
-            for t in params.values():
-                sq += float(np.dot(t.grad.ravel(), t.grad.ravel()))
-        total = float(np.sqrt(sq))
+        grads = [grad for _, grad, _, _ in self.arenas.values()]
+        total = float(np.sqrt(sum(float(np.dot(g, g)) for g in grads)))
         if max_norm > 0 and total > max_norm:
             scale = max_norm / (total + 1e-6)
-            for params in self.groups.values():
-                for t in params.values():
-                    t.grad *= scale
+            for g in grads:
+                g *= scale
         return total
 
     def step(self) -> None:
@@ -63,34 +72,23 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for gname, params in self.groups.items():
+        for gname, (data, grad, m, v) in self.arenas.items():
             lr = self.lrs[gname]
-            for name, p in params.items():
-                g = p.grad
-                if g is None:
-                    raise ValueError(f"parameter {name!r} has no gradient buffer")
-                p.data *= 1.0 - lr * self.weight_decay
-                m = self.m[name]
-                v = self.v[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            data *= 1.0 - lr * self.weight_decay  # decoupled decay, before the moments
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (grad * grad)
+            data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     # checkpoint support -----------------------------------------------------
 
     def state_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name in self.m:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
+        return dict(self.moments)
 
     def load_state(self, tensors: dict[str, np.ndarray], step_count: int) -> None:
-        for name in self.m:
-            self.m[name][...] = tensors[f"opt.m.{name}"]
-            self.v[name][...] = tensors[f"opt.v.{name}"]
+        for key, view in self.moments.items():
+            view[...] = tensors[key]
         self.step_count = int(step_count)
 
 

@@ -33,6 +33,13 @@ from .rng import RngStream
 from .sampling import expand_indices, repeat_factors
 
 
+# config keys that fix the model's tensor shapes; a checkpoint must match all
+SHAPE_KEYS = (
+    "mode", "num_experts", "rank", "router_hidden", "feature_dim", "num_classes",
+    "in_channels", "stub_channels",
+)
+
+
 class NumericalAbort(RuntimeError):
     """Raised when a loss or gradient goes non-finite; the message names the
     epoch, batch, sample ids, and current parameter norms."""
@@ -175,14 +182,14 @@ class Trainer:
 
     # -- training ------------------------------------------------------------
 
-    def _abort_diagnostic(self, epoch: int, batch_no: int, idx: np.ndarray, loss: float) -> str:
+    def _abort(self, what: str, epoch: int, batch_no: int, idx: np.ndarray) -> NumericalAbort:
         norms = ", ".join(
             f"{name}={np.linalg.norm(t.data):.3e}"
             for name, t in self.model.parameters().items()
         )
         ids = [self.train_data.ids[int(i)] for i in idx]
-        return (
-            f"non-finite loss {loss} at epoch {epoch}, batch {batch_no} "
+        return NumericalAbort(
+            f"non-finite {what} at epoch {epoch}, batch {batch_no} "
             f"(samples {ids}); parameter norms: {norms}"
         )
 
@@ -201,11 +208,13 @@ class Trainer:
             y = self.labels[idx]
             loss = focal_loss(probs, y, self.loss_cfg)
             if not np.isfinite(loss):
-                raise NumericalAbort(self._abort_diagnostic(epoch, batch_no, idx, loss))
+                raise self._abort(f"loss {loss}", epoch, batch_no, idx)
             grad = focal_loss_backward(probs, y, self.loss_cfg)
             self.optimizer.zero_grad()
             self.model.backward(fwd_cache, grad)
-            self.optimizer.clip_global_norm(cfg.clip_norm)
+            grad_norm = self.optimizer.clip_global_norm(cfg.clip_norm)
+            if not np.isfinite(grad_norm):
+                raise self._abort(f"gradient norm {grad_norm}", epoch, batch_no, idx)
             self.optimizer.step()
             losses.append(loss)
         return float(np.mean(losses)) if losses else 0.0
@@ -291,12 +300,14 @@ class Trainer:
 
     def load_state(self, path: str | Path) -> None:
         tensors, sections = load_checkpoint(path)
-        saved_cfg = RunConfig.from_dict(sections["config"])
-        if saved_cfg.mode != self.cfg.mode:
-            raise NumericalAbort(
-                f"checkpoint was trained in mode {saved_cfg.mode!r}, "
-                f"this run is {self.cfg.mode!r}"
-            )
+        # compared as plain JSON values, so a list and a tuple of the same ints match
+        saved, ours = RunConfig.from_dict(sections["config"]).to_dict(), self.cfg.to_dict()
+        for key in SHAPE_KEYS:
+            if saved[key] != ours[key]:
+                raise NumericalAbort(
+                    f"checkpoint was trained with {key}={saved[key]!r}, "
+                    f"this run has {key}={ours[key]!r}"
+                )
         params = self.model.parameters()
         for name, t in params.items():
             t.data[...] = tensors[name]

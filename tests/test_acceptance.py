@@ -157,8 +157,8 @@ def test_c04_single_expert_matches_lora_forward():
         w0 = Tensor(rng.normal(size=(d_out, d_in)))
 
         bank = ExpertBank(1, d_in, d_out, r)
-        bank.A[0].data[...] = adapter.A.data
-        bank.B[0].data[...] = adapter.B.data
+        bank.A.data[:r] = adapter.A.data     # expert 0: rows 0:r of the stacked A
+        bank.B.data[:, :r] = adapter.B.data  # ... and columns 0:r of the stacked B
         router = Router(d_in, 1, 4)
         router.W1.data[...] = rng.normal(size=router.W1.shape)
         layer = MolreLayer(w0, bank, router, expert_scale=None, alpha=alpha)

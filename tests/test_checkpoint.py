@@ -74,12 +74,14 @@ def test_bad_magic(tmp_path):
 
 def test_bad_version(tmp_path):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(p, _tensors())
-    raw = bytearray(p.read_bytes())
-    raw[4] = 42
-    p.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(p)
+    # version 1 stored one experts.{i}.A/B pair per expert
+    for version in (1, 42):
+        save_checkpoint(p, _tensors())
+        raw = bytearray(p.read_bytes())
+        raw[4:8] = version.to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"format version {version}, this build reads 2"):
+            load_checkpoint(p)
 
 
 def test_truncation_detected(tmp_path):

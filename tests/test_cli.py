@@ -130,6 +130,25 @@ def test_eval_missing_checkpoint_exits_data(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")]) == 3
 
 
+def test_eval_split_without_evaluable_class_exits_data(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["train", *TINY, "--set", f"data_dir={data_dir}", "--out", str(run_dir)]) == 0
+    # every test study negative for every class: no class has both labels
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for row in manifest["samples"]:
+        if row["split"] == "test":
+            row["labels"] = [0] * len(row["labels"])
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--split", "test",
+                 "--out", str(tmp_path / "ev")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "both" in err
+
+
 def test_numerical_abort_exits_4(monkeypatch, tmp_path):
     data_dir = _synth(tmp_path)
 

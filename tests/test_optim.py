@@ -81,6 +81,24 @@ def test_missing_lr_rejected():
         AdamW({"g": {"p": p}}, {})
 
 
+def test_frozen_parameter_rejected_when_built():
+    frozen = Tensor(np.zeros(2))  # no gradient buffer
+    with pytest.raises(ValueError, match="'w' has no gradient buffer"):
+        AdamW({"g": {"w": frozen}}, {"g": 0.1})
+
+
+def test_parameters_become_views_of_one_arena_per_group():
+    a = _param([1.0, 2.0], [0.5, 0.5])
+    b = _param([[3.0]], [0.25])
+    opt = AdamW({"g": {"a": a, "b": b}}, {"g": 0.1})
+    data, grad, m, v = opt.arenas["g"]
+    assert data.tolist() == [1.0, 2.0, 3.0] and grad.tolist() == [0.5, 0.5, 0.25]
+    assert np.shares_memory(a.data, data) and np.shares_memory(b.grad, grad)
+    assert b.data.shape == (1, 1)
+    opt.step()
+    assert np.array_equal(np.concatenate([a.data.ravel(), b.data.ravel()]), data)
+
+
 def test_clip_global_norm_scales_jointly():
     a = _param([0.0], [3.0])
     b = _param([0.0], [4.0])

@@ -271,7 +271,7 @@ def test_forward_2d_diverges_once_experts_move():
     head = ClassifierHead(8, 5); head.init(RngStream(6))
     head.w.data[...] = np.random.default_rng(21).normal(size=(5, 8))
     layer = _mixture_for(stub)
-    layer.bank.B[0].data[...] = 0.5
+    layer.bank.B.data[:, :layer.bank.rank] = 0.5  # expert 0's columns
     x = np.random.default_rng(19).uniform(0, 1, (2, 3, 4, 16, 16))
     a = forward_2d(stub, layer, pooler, head, x)
     b = forward_2d(stub, None, pooler, head, x)

@@ -145,6 +145,27 @@ def test_trainer_abort_on_nonfinite_loss():
     assert "non-finite" in msg and "epoch 1" in msg and "s0" in msg
 
 
+def test_trainer_abort_on_nonfinite_gradient():
+    data = FakeDataset(8)
+    trainer = Trainer(tiny_cfg(), data, data)
+    backward = trainer.model.backward
+
+    def poisoned(cache, grad):
+        backward(cache, grad)
+        trainer.model.molre.bank.A.grad[0, 0] = np.nan  # loss stays finite
+
+    trainer.model.backward = poisoned
+    before = {name: t.data.copy() for name, t in trainer.model.parameters().items()}
+    with pytest.raises(NumericalAbort) as err:
+        trainer.run_epoch(1)
+    msg = str(err.value)
+    assert "non-finite gradient norm nan" in msg
+    assert "epoch 1, batch 0" in msg and "samples ['s0" in msg and "head.w=" in msg
+    # the abort comes before the step: no NaN reaches the parameters
+    for name, t in trainer.model.parameters().items():
+        assert np.array_equal(t.data, before[name]), name
+
+
 def test_resume_is_bitwise_identical(tmp_path):
     data = FakeDataset(10, seed=3)
     cfg = tiny_cfg(max_epochs=20, min_epochs=20)
@@ -175,11 +196,32 @@ def test_resume_is_bitwise_identical(tmp_path):
 
 
 def test_load_state_rejects_mode_mismatch(tmp_path):
-    data = FakeDataset(8)
-    Trainer(tiny_cfg(mode="lora"), data, data).save_state(tmp_path / "l.ckpt")
-    other = Trainer(tiny_cfg(mode="molre"), data, data)
-    with pytest.raises(NumericalAbort, match="mode"):
-        other.load_state(tmp_path / "l.ckpt")
+    def trainer(cfg):
+        # features straight from the cache: the trunk never sees the voxels,
+        # so in_channels may differ from the three HU windows
+        z = np.random.default_rng(0).normal(size=(8, 8, cfg.stub_channels[-1]))
+        data = FakeDataset(8, num_classes=cfg.num_classes)
+        return Trainer(cfg, data, data, train_cache=z, val_cache=z)
+
+    # every key that fixes a tensor shape, the mode first
+    for key, value in [
+        ("mode", "lora"),
+        ("num_experts", 2),
+        ("rank", 1),
+        ("router_hidden", 4),
+        ("feature_dim", 6),
+        ("num_classes", 2),
+        ("in_channels", 1),
+        ("stub_channels", (8, 16, 32)),
+    ]:
+        path = tmp_path / f"{key}.ckpt"
+        trainer(tiny_cfg(**{key: value})).save_state(path)
+        with pytest.raises(NumericalAbort, match=f"with {key}=.*this run has {key}="):
+            trainer(tiny_cfg()).load_state(path)
+
+    # a list and a tuple of the same channels give the same shapes
+    trainer(tiny_cfg()).save_state(tmp_path / "same.ckpt")
+    trainer(tiny_cfg(stub_channels=[16, 32, 64])).load_state(tmp_path / "same.ckpt")
 
 
 def test_precomputed_cache_matches_internal(tmp_path):
