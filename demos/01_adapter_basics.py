@@ -4,7 +4,8 @@ Adapter basics: a frozen weight, a low-rank update, and a routed mixture
 
 Everything here runs on plain float64 numpy. The three layers on display:
 
-  * LoraAdapter      -- one rank-r update  delta(x) = (alpha/r) * B A x
+  * LoraAdapter      -- one rank-r update  delta(x) = (alpha/r) * B A x; it is
+                        the expert bank with one expert and no router
   * Router           -- two-layer MLP ending in a softmax over experts
   * MolreLayer       -- frozen W0 plus K low-rank experts blended by the router;
                         the K experts are stacked into one A (K*r x d_in) and
@@ -19,7 +20,6 @@ from molre.adapters import (
     MolreLayer,
     Router,
     count_molre_params,
-    lora_forward,
 )
 from molre.rng import RngStream
 from molre.tensor import Tensor
@@ -56,7 +56,9 @@ solo.init(RngStream(3))
 solo.bank.A.data[:rank] = adapter.A.data
 solo.bank.B.data[:, :rank] = adapter.B.data
 
-diff = np.abs(solo.forward(x).data - lora_forward(adapter, w0, x).data).max()
+# the plain adapter in closed form: x W0^T + (alpha/r) (x A^T) B^T
+lora_out = x @ w0.data.T + adapter.scaling * ((x @ adapter.A.data.T) @ adapter.B.data.T)
+diff = np.abs(solo.forward(x).data - lora_out).max()
 print(f"K=1 vs plain adapter, max |diff|: {diff:.2e}")
 
 # ---------------------------------------------------------------------------

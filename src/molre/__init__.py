@@ -7,13 +7,9 @@ from .adapters import (
     MolreLayer,
     Router,
     count_molre_params,
-    init_adapter_params,
-    lora_forward,
-    molre_forward,
-    router_forward,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .config import MODES, ConfigError, RunConfig, apply_overrides, load_config
 from .losses import FocalLossConfig, focal_loss, focal_loss_backward, prevalence_weights
 from .metrics import (
     EvaluationError,
@@ -24,18 +20,13 @@ from .metrics import (
     param_report,
     per_class_auc,
 )
-from .model import MODES, SliceModel, VolumeModel
-from .optim import AdamW, adamw_step
+from .model import SliceModel, VolumeModel
+from .optim import AdamW
 from .pipeline import (
     AttentionPooler,
     ClassifierHead,
     SliceBackbone,
     VolumeBackbone,
-    attention_pool,
-    classify,
-    extract_slice_features,
-    forward_2d,
-    forward_3d,
 )
 from .preprocess import (
     DEFAULT_SPACING,

@@ -1,5 +1,5 @@
-"""Low-rank adapters: the single-adapter baseline, the K-expert bank with its
-soft router, and the combined mixture layer.
+"""Low-rank adapters: the K-expert bank with its soft router, the combined
+mixture layer, and the single-adapter baseline as the one-expert bank.
 
 The mixture layer computes, per input row x,
 
@@ -21,7 +21,9 @@ backward passes accumulate parameter gradients only and return no input
 gradient.
 
 The expert scaling s defaults to alpha/rank so that a K=1 mixture collapses
-exactly to the plain low-rank adapter baseline.
+exactly to the plain low-rank adapter baseline. That baseline, `LoraAdapter`,
+is the bank with K=1 and no router (gate 1): it shares the bank's storage
+and init and adds only its scale and its ungated update.
 """
 
 from __future__ import annotations
@@ -32,60 +34,12 @@ from .rng import RngStream
 from .tensor import ShapeError, Tensor, softmax, softmax_backward
 
 
-class LoraAdapter:
-    """Single low-rank update: delta(x) = (alpha/rank) * B (A x).
-
-    A is rank x d_in, B is d_out x rank. B starts at zero so a fresh adapter
-    is an exact no-op.
-    """
-
-    def __init__(self, d_in: int, d_out: int, rank: int = 8, alpha: float = 16.0):
-        if rank < 1 or rank > min(d_in, d_out):
-            raise ValueError(f"rank {rank} out of range for ({d_in}, {d_out})")
-        self.d_in = d_in
-        self.d_out = d_out
-        self.rank = rank
-        self.alpha = float(alpha)
-        self.A = Tensor.zeros((rank, d_in), requires_grad=True)
-        self.B = Tensor.zeros((d_out, rank), requires_grad=True)
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
-
-    def init(self, rng: RngStream) -> None:
-        self.A.data[...] = rng.normal(0.0, 1.0 / np.sqrt(self.d_in), self.A.shape)
-        self.B.data.fill(0.0)
-
-    def delta(self, x: np.ndarray) -> np.ndarray:
-        """Adapter contribution for a batch of rows x (N x d_in)."""
-        return self.scaling * ((x @ self.A.data.T) @ self.B.data.T)
-
-    def delta_backward(self, grad_out: np.ndarray, x: np.ndarray) -> None:
-        """Accumulate A/B gradients."""
-        u = x @ self.A.data.T
-        gv = self.scaling * grad_out
-        self.B.grad += gv.T @ u
-        self.A.grad += (gv @ self.B.data).T @ x
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"lora.A": self.A, "lora.B": self.B}
-
-
-def lora_forward(adapter: LoraAdapter, w0: Tensor, x) -> Tensor:
-    """Baseline adapted output h = W0 x + (alpha/rank) B A x for rows of x."""
-    xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if xv.ndim == 1:
-        xv = xv[None, :]
-    if xv.shape[1] != w0.shape[1]:
-        raise ShapeError(f"lora_forward: x has {xv.shape[1]} columns, W0 is {w0.shape}")
-    return Tensor(xv @ w0.data.T + adapter.delta(xv))
-
-
 class ExpertBank:
     """K low-rank experts sharing one (rank, d_in, d_out) signature, stacked:
     A is (K*rank, d_in), B is (d_out, K*rank); expert i owns rows (of A) and
     columns (of B) i*rank:(i+1)*rank."""
+
+    prefix = "experts"  # parameter names are "<prefix>.A" and "<prefix>.B"
 
     def __init__(self, num_experts: int, d_in: int, d_out: int, rank: int = 8):
         if num_experts < 1:
@@ -105,7 +59,34 @@ class ExpertBank:
         self.B.data.fill(0.0)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"experts.A": self.A, "experts.B": self.B}
+        return {f"{self.prefix}.A": self.A, f"{self.prefix}.B": self.B}
+
+
+class LoraAdapter(ExpertBank):
+    """Single low-rank update, the one-expert bank with gate 1:
+    delta(x) = (alpha/rank) * B (A x), with A rank x d_in and B d_out x rank.
+    B starts at zero so a fresh adapter is an exact no-op."""
+
+    prefix = "lora"
+
+    def __init__(self, d_in: int, d_out: int, rank: int = 8, alpha: float = 16.0):
+        super().__init__(1, d_in, d_out, rank)
+        self.alpha = float(alpha)
+
+    @property
+    def scaling(self) -> float:
+        return self.alpha / self.rank
+
+    def delta(self, x: np.ndarray) -> np.ndarray:
+        """Adapter contribution for a batch of rows x (N x d_in)."""
+        return self.scaling * ((x @ self.A.data.T) @ self.B.data.T)
+
+    def delta_backward(self, grad_out: np.ndarray, x: np.ndarray) -> None:
+        """Accumulate A/B gradients."""
+        u = x @ self.A.data.T
+        gv = self.scaling * grad_out
+        self.B.grad += gv.T @ u
+        self.A.grad += (gv @ self.B.data).T @ x
 
 
 class Router:
@@ -159,10 +140,6 @@ class Router:
             "router.W2": self.W2,
             "router.b2": self.b2,
         }
-
-
-def router_forward(router: Router, x) -> Tensor:
-    return router.forward(x)
 
 
 class MolreLayer:
@@ -245,16 +222,6 @@ class MolreLayer:
         out = dict(self.bank.parameters())
         out.update(self.router.parameters())
         return out
-
-
-def molre_forward(layer: MolreLayer, x) -> Tensor:
-    return layer.forward(x)
-
-
-def init_adapter_params(bank: ExpertBank, router: Router, rng: RngStream) -> None:
-    """Initialize a bank/router pair so the mixture starts as W0 exactly."""
-    bank.init(rng.child("experts"))
-    router.init(rng.child("router"))
 
 
 def count_molre_params(

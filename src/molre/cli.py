@@ -23,7 +23,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
 from .synthetic import SynthConfig, class_prevalences, synth_sample
-from .training import NumericalAbort, Trainer, build_model, predict_probs
+from .training import NumericalAbort, Trainer, build_model, load_model_params, predict_probs
 from .volumes import DataError, DiskDataset, write_manifest, write_volume
 
 EXIT_OK = 0
@@ -116,10 +116,7 @@ def cmd_eval(args) -> int:
     cfg = RunConfig.from_dict(sections["config"])
     cfg = apply_overrides(cfg, args.set or [])
     model = build_model(cfg)
-    for name, t in model.parameters().items():
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-        t.data[...] = tensors[name]
+    load_model_params(model, cfg, tensors, sections)
     if not cfg.data_dir:
         raise DataError("checkpoint config has no data_dir; pass --set data_dir=...")
     dataset = DiskDataset(cfg.data_dir, args.split)

@@ -1,20 +1,24 @@
 """Trainable model assemblies for the 2D slice path and the 3D volume path.
 
 A model bundles the frozen backbone with whatever adapts on top of it, picked
-by `mode`:
+by `mode` (one of `config.MODES`):
 
     baseline-frozen  head + pooling query only
     lora             + low-rank adapter on the backbone's final projection
     molre            the same projection, but adapted by a routed expert bank
     molre3d          the 3D path: pooled volume features, routed bank, head
 
-The ladder is strict: with one expert and scale alpha/rank the mixture can
-express exactly the single-adapter model, and with zero adapters it is the
-frozen baseline.
+The ladder is strict: the adapter is the expert bank with one expert and no
+router, a one-expert mixture with scale alpha/rank computes exactly the
+adapter's update, and with no adapter the model is the frozen baseline.
 
-Because the conv trunk is frozen, its per-sample output can be computed once
-and cached; `forward_trunk_cached` / `backward` implement the training step
-from that cache with explicit per-layer backward passes.
+Each model has one forward path. Because the conv trunk is frozen, its
+per-sample output can be computed once and cached; `forward_trunk_cached` /
+`backward` implement the training step from that cache with explicit
+per-layer backward passes, and `forward` is the trunk followed by
+`forward_trunk_cached`. `SliceModel` and `VolumeModel` differ only in the
+backbone, the attention pooling over slices, and how a raw volume reaches
+the trunk; the rest is written once in their shared base.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapters import ExpertBank, LoraAdapter, MolreLayer, Router
+from .config import MODES
 from .pipeline import (
     AttentionPooler,
     ClassifierHead,
@@ -32,15 +37,21 @@ from .pipeline import (
 from .rng import RngStream
 from .tensor import Tensor
 
-MODES = ("baseline-frozen", "lora", "molre", "molre3d")
+# (attribute, optimizer group) in parameter order. The AdamW arena layout and
+# the clip-norm summation follow this order, and each part draws its init
+# from the RNG child named after its attribute.
+_PARTS = (("head", "head"), ("pooler", "head"), ("lora", "adapter"), ("molre", "adapter"))
 
 
-class SliceModel:
-    """2D path: per-slice features, optional adapters, attention pooling, head."""
+class _Model:
+    """Frozen backbone, optional adapter, optional attention pooling, head.
+    Subclasses pick the backbone class and how raw volumes reach its trunk."""
+
+    backbone: type
 
     def __init__(
         self,
-        mode: str = "molre",
+        mode: str,
         in_channels: int = 3,
         feature_dim: int = 32,
         num_classes: int = 12,
@@ -48,57 +59,44 @@ class SliceModel:
         rank: int = 8,
         lora_alpha: float = 16.0,
         router_hidden: int = 256,
-        expert_scale: float | None = None,
         stub_seed: int = 1234,
         stub_channels: tuple[int, int, int] = (16, 32, 64),
-        head_bias: bool = True,
     ):
-        if mode not in ("baseline-frozen", "lora", "molre"):
-            raise ValueError(f"SliceModel does not support mode {mode!r}")
         self.mode = mode
-        self.stub = SliceBackbone(in_channels, feature_dim, stub_channels, stub_seed)
-        self.lora = (
-            LoraAdapter(self.stub.trunk_dim, feature_dim, rank, lora_alpha)
-            if mode == "lora"
-            else None
-        )
+        self.stub = self.backbone(in_channels, feature_dim, stub_channels, stub_seed)
+        p = self.stub.trunk_dim
+        self.lora = LoraAdapter(p, feature_dim, rank, lora_alpha) if mode == "lora" else None
         self.molre = (
             MolreLayer(
                 self.stub.proj_w,
-                ExpertBank(num_experts, self.stub.trunk_dim, feature_dim, rank),
-                Router(self.stub.trunk_dim, num_experts, router_hidden),
-                expert_scale,
-                lora_alpha,
+                ExpertBank(num_experts, p, feature_dim, rank),
+                Router(p, num_experts, router_hidden),
+                alpha=lora_alpha,
             )
-            if mode == "molre"
+            if mode in ("molre", "molre3d")
             else None
         )
-        self.pooler = AttentionPooler(feature_dim)
-        self.head = ClassifierHead(feature_dim, num_classes, head_bias)
+        self.pooler: AttentionPooler | None = None
+        self.head = ClassifierHead(feature_dim, num_classes)
+
+    def _parts(self):
+        for name, group in _PARTS:
+            part = getattr(self, name)
+            if part is not None:
+                yield name, group, part
 
     def init_params(self, rng: RngStream) -> None:
-        self.head.init(rng.child("head"))
-        self.pooler.init(rng.child("pooler"))
-        if self.lora is not None:
-            self.lora.init(rng.child("lora"))
-        if self.molre is not None:
-            self.molre.init(rng.child("molre"))
+        for name, _, part in self._parts():
+            part.init(rng.child(name))
 
     # -- trunk cache entry points ------------------------------------------
 
-    def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
-        """Frozen trunk output for one windowed volume (M, S, H, W) -> (S, p)."""
-        m, s, h, w = channels_vol.shape
-        return self.stub.trunk(
-            np.ascontiguousarray(channels_vol.transpose(1, 0, 2, 3))
-        )
-
     def forward_trunk_cached(self, z: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Probabilities from cached trunk features z (B, S, p), with the
-        intermediate caches needed for backward."""
-        b, s, p = z.shape
-        zf = z.reshape(b * s, p)
-        cache: dict = {"zf": zf, "b": b, "s": s}
+        """Probabilities from cached trunk features z, (B, S, p) on the slice
+        path and (B, p) on the volume path, with the intermediate caches
+        needed for backward."""
+        zf = z.reshape(-1, z.shape[-1])
+        cache: dict = {"zf": zf}
         if self.molre is not None:
             # the mixture applies the frozen projection weight itself
             f, cache["molre"] = self.molre.forward_cached(zf)
@@ -107,48 +105,34 @@ class SliceModel:
             f = self.stub.project(zf)
             if self.lora is not None:
                 f = f + self.lora.delta(zf)
-        h, cache["pool"] = self.pooler.forward_cached(f.reshape(b, s, -1))
-        probs, cache["head"] = self.head.forward_cached(h)
+        if self.pooler is not None:
+            f, cache["pool"] = self.pooler.forward_cached(f.reshape(*z.shape[:-1], -1))
+        probs, cache["head"] = self.head.forward_cached(f)
         return probs, cache
 
     def backward(self, cache: dict, grad_probs: np.ndarray) -> None:
-        gh = self.head.backward(cache["head"], grad_probs)
-        gf3 = self.pooler.backward(cache["pool"], gh)
-        gf = gf3.reshape(cache["b"] * cache["s"], -1)
+        g = self.head.backward(cache["head"], grad_probs)
+        if self.pooler is not None:
+            g = self.pooler.backward(cache["pool"], g).reshape(cache["zf"].shape[0], -1)
         if self.molre is not None:
-            self.molre.backward(cache["molre"], gf)
+            self.molre.backward(cache["molre"], g)
         elif self.lora is not None:
-            self.lora.delta_backward(gf, cache["zf"])
+            self.lora.delta_backward(g, cache["zf"])
         # trunk and projection are frozen: gradient stops here
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Full forward from raw windowed volumes (B, M, S, H, W)."""
-        b, m, s, h, w = x.shape
-        z = self.stub.trunk(slices_of(np.asarray(x, dtype=np.float64)))
-        probs, _ = self.forward_trunk_cached(z.reshape(b, s, -1))
-        return probs
 
     # -- parameter plumbing --------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        out.update(self.head.parameters())
-        out.update(self.pooler.parameters())
-        if self.lora is not None:
-            out.update(self.lora.parameters())
-        if self.molre is not None:
-            out.update(self.molre.parameters())
+        for _, _, part in self._parts():
+            out.update(part.parameters())
         return out
 
     def param_groups(self) -> dict[str, dict[str, Tensor]]:
-        head = dict(self.head.parameters())
-        head.update(self.pooler.parameters())
-        adapter: dict[str, Tensor] = {}
-        if self.lora is not None:
-            adapter.update(self.lora.parameters())
-        if self.molre is not None:
-            adapter.update(self.molre.parameters())
-        return {"head": head, "adapter": adapter}
+        groups: dict[str, dict[str, Tensor]] = {"head": {}, "adapter": {}}
+        for _, group, part in self._parts():
+            groups[group].update(part.parameters())
+        return groups
 
     def frozen_parameters(self) -> dict[str, Tensor]:
         return self.stub.frozen_parameters()
@@ -158,75 +142,42 @@ class SliceModel:
             t.zero_grad()
 
 
-class VolumeModel:
-    """3D path: one pooled feature per volume, mixture routed per volume."""
+class SliceModel(_Model):
+    """2D path: per-slice features, optional adapter, attention pooling, head.
+    Keyword arguments are those of the shared base after `mode`."""
 
-    def __init__(
-        self,
-        in_channels: int = 3,
-        feature_dim: int = 32,
-        num_classes: int = 12,
-        num_experts: int = 6,
-        rank: int = 8,
-        lora_alpha: float = 16.0,
-        router_hidden: int = 256,
-        expert_scale: float | None = None,
-        stub_seed: int = 1234,
-        stub_channels: tuple[int, int, int] = (16, 32, 64),
-        head_bias: bool = True,
-    ):
-        self.mode = "molre3d"
-        self.stub = VolumeBackbone(in_channels, feature_dim, stub_channels, stub_seed)
-        self.lora = None
-        self.molre = MolreLayer(
-            self.stub.proj_w,
-            ExpertBank(num_experts, self.stub.trunk_dim, feature_dim, rank),
-            Router(self.stub.trunk_dim, num_experts, router_hidden),
-            expert_scale,
-            lora_alpha,
-        )
-        self.pooler = None
-        self.head = ClassifierHead(feature_dim, num_classes, head_bias)
+    backbone = SliceBackbone
 
-    def init_params(self, rng: RngStream) -> None:
-        self.head.init(rng.child("head"))
-        self.molre.init(rng.child("molre"))
+    def __init__(self, mode: str = "molre", **kwargs):
+        if mode == "molre3d" or mode not in MODES:
+            raise ValueError(f"SliceModel does not support mode {mode!r}")
+        super().__init__(mode, **kwargs)
+        self.pooler = AttentionPooler(self.stub.feature_dim)
+
+    def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
+        """Frozen trunk output for one windowed volume (M, S, H, W) -> (S, p)."""
+        return self.stub.trunk(np.ascontiguousarray(channels_vol.transpose(1, 0, 2, 3)))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Full forward from raw windowed volumes (B, M, S, H, W)."""
+        b, _, s = x.shape[:3]
+        z = self.stub.trunk(slices_of(np.asarray(x, dtype=np.float64)))
+        return self.forward_trunk_cached(z.reshape(b, s, -1))[0]
+
+
+class VolumeModel(_Model):
+    """3D path: one pooled feature per volume, mixture routed per volume.
+    Keyword arguments are those of the shared base; the mode is molre3d."""
+
+    backbone = VolumeBackbone
+
+    def __init__(self, **kwargs):
+        super().__init__("molre3d", **kwargs)
 
     def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
         """Frozen trunk output for one windowed volume (M, S, H, W) -> (p,)."""
         return self.stub.trunk(channels_vol[None])[0]
 
-    def forward_trunk_cached(self, z: np.ndarray) -> tuple[np.ndarray, dict]:
-        cache: dict = {"zf": z}
-        f, cache["molre"] = self.molre.forward_cached(z)
-        f = f + self.stub.proj_b.data
-        probs, cache["head"] = self.head.forward_cached(f)
-        return probs, cache
-
-    def backward(self, cache: dict, grad_probs: np.ndarray) -> None:
-        gf = self.head.backward(cache["head"], grad_probs)
-        self.molre.backward(cache["molre"], gf)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        z = self.stub.trunk(np.asarray(x, dtype=np.float64))
-        probs, _ = self.forward_trunk_cached(z)
-        return probs
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.head.parameters())
-        out.update(self.molre.parameters())
-        return out
-
-    def param_groups(self) -> dict[str, dict[str, Tensor]]:
-        return {
-            "head": dict(self.head.parameters()),
-            "adapter": dict(self.molre.parameters()),
-        }
-
-    def frozen_parameters(self) -> dict[str, Tensor]:
-        return self.stub.frozen_parameters()
-
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.zero_grad()
+        """Full forward from raw windowed volumes (B, M, S, H, W)."""
+        return self.forward_trunk_cached(self.stub.trunk(x))[0]

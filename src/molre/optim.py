@@ -91,7 +91,3 @@ class AdamW:
             view[...] = tensors[key]
         self.step_count = int(step_count)
 
-
-def adamw_step(state: AdamW) -> None:
-    """One optimizer step over the parameters registered in `state`."""
-    state.step()

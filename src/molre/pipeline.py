@@ -1,27 +1,26 @@
-"""End-to-end model paths over frozen backbone features.
-
-2D path: a volume of S slices is reshaped to B*S single slices, each slice is
-embedded by a frozen convolutional stub, the mixture layer adapts the slice
-features, attention pooling with a single learnable query collapses each
-volume's S adapted features into one vector, and an independent-sigmoid head
-scores the C findings.
-
-3D path: the volume is embedded once by a frozen 3D stub (spatially pooled),
-the mixture layer routes once per volume, and the head classifies directly —
-no attention pooling.
+"""The layers around the adapters: frozen backbone stubs, attention pooling
+and the classifier head.
 
 The stubs stand in for large pretrained feature extractors: their weights are
-drawn once from a seed and never receive gradients. A low-rank adapter may be
-attached to the stub's final projection; that adapter and everything after it
-is what trains.
+drawn once from a seed and never receive gradients. `SliceBackbone` embeds
+single slices with 3x3 convs (the 2D path), `VolumeBackbone` embeds a whole
+volume with 3x3x3 convs (the 3D path); both end in a global mean pool, a row
+standardization and a linear projection, written once in their shared base.
+The adapters replace or extend that final projection.
+
+`AttentionPooler` collapses a volume's S slice features into one vector with
+a single learnable query; `ClassifierHead` scores the C findings with
+independent sigmoids. The models in `model.py` compose these with the
+adapters; each model has exactly one forward path.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .adapters import LoraAdapter, MolreLayer
 from .rng import RngStream
 from .tensor import ShapeError, Tensor, sigmoid, softmax, softmax_backward
 
@@ -59,13 +58,18 @@ def _conv3d_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, so, ho, wo, w.shape[0]).transpose(0, 4, 1, 2, 3)
 
 
-class SliceBackbone:
-    """Frozen per-slice feature extractor: 3 strided convs, global average
-    pool, and a linear projection to the working feature dimension.
+class _Backbone:
+    """Frozen feature extractor: 3 strided convs, global mean pool, and a
+    linear projection to the working feature dimension.
 
     Weights come from `seed` alone, so two stubs built with the same seed
     produce identical features. Nothing here ever receives a gradient.
+    Subclasses fix the spatial rank: the kernel shape and the stream the
+    weights are drawn from.
     """
+
+    kernel: tuple[int, ...]
+    stream: int
 
     def __init__(
         self,
@@ -79,108 +83,66 @@ class SliceBackbone:
         self.channels = tuple(channels)
         self.trunk_dim = self.channels[-1]
         self.seed = seed
-        rng = RngStream(seed, 7)
+        rng = RngStream(seed, self.stream)
         self.conv_w, self.conv_b = [], []
         ci = in_channels
         for co in self.channels:
-            std = np.sqrt(2.0 / (ci * 9))
-            self.conv_w.append(Tensor(rng.normal(0.0, std, (co, ci, 3, 3))))
+            std = np.sqrt(2.0 / (ci * math.prod(self.kernel)))
+            self.conv_w.append(Tensor(rng.normal(0.0, std, (co, ci, *self.kernel))))
             self.conv_b.append(Tensor(np.zeros(co)))
             ci = co
         self.proj_w = Tensor(
             rng.normal(0.0, 1.0 / np.sqrt(self.trunk_dim), (feature_dim, self.trunk_dim))
         )
         self.proj_b = Tensor(np.zeros(feature_dim))
+
+    def _pooled(self, x, layout: str, chunk: int, conv) -> np.ndarray:
+        """Run the convs over `chunk` inputs at a time, mean-pool every
+        spatial axis, and standardize each row."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 + len(self.kernel) or x.shape[1] != self.in_channels:
+            raise ShapeError(f"backbone expects {layout.format(self.in_channels)}, got {x.shape}")
+        outs = []
+        for lo in range(0, x.shape[0], chunk):
+            h = x[lo:lo + chunk]
+            for w, b in zip(self.conv_w, self.conv_b):
+                h = conv(h, w.data, b.data)
+            outs.append(h.mean(axis=tuple(range(2, h.ndim))))
+        return _rownorm(np.concatenate(outs, axis=0))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        return z @ self.proj_w.data.T + self.proj_b.data
+
+    def frozen_parameters(self) -> dict[str, Tensor]:
+        out = {}
+        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
+            out[f"backbone.conv{i}.w"] = w
+            out[f"backbone.conv{i}.b"] = b
+        out["backbone.proj.w"] = self.proj_w
+        out["backbone.proj.b"] = self.proj_b
+        return out
+
+
+class SliceBackbone(_Backbone):
+    """Per-slice stub: 3x3 convs over single slices."""
+
+    kernel = (3, 3)
+    stream = 7
 
     def trunk(self, x: np.ndarray) -> np.ndarray:
         """Map slices (N, M, H, W) to pre-projection features (N, trunk_dim)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"backbone expects (N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        outs = []
-        for lo in range(0, x.shape[0], _CHUNK):
-            h = x[lo:lo + _CHUNK]
-            for w, b in zip(self.conv_w, self.conv_b):
-                h = _conv2d_relu(h, w.data, b.data)
-            outs.append(h.mean(axis=(2, 3)))
-        return _rownorm(np.concatenate(outs, axis=0))
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.proj_w.data.T + self.proj_b.data
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return self.project(self.trunk(x))
-
-    def frozen_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            out[f"backbone.conv{i}.w"] = w
-            out[f"backbone.conv{i}.b"] = b
-        out["backbone.proj.w"] = self.proj_w
-        out["backbone.proj.b"] = self.proj_b
-        return out
+        return self._pooled(x, "(N, {}, H, W)", _CHUNK, _conv2d_relu)
 
 
-class VolumeBackbone:
-    """Frozen whole-volume feature extractor: 3 strided 3D convs, spatial
-    mean pool, linear projection. Same freezing contract as SliceBackbone."""
+class VolumeBackbone(_Backbone):
+    """Whole-volume stub: 3x3x3 convs over the volume."""
 
-    def __init__(
-        self,
-        in_channels: int = 3,
-        feature_dim: int = 32,
-        channels: tuple[int, int, int] = (16, 32, 64),
-        seed: int = 1234,
-    ):
-        self.in_channels = in_channels
-        self.feature_dim = feature_dim
-        self.channels = tuple(channels)
-        self.trunk_dim = self.channels[-1]
-        self.seed = seed
-        rng = RngStream(seed, 13)
-        self.conv_w, self.conv_b = [], []
-        ci = in_channels
-        for co in self.channels:
-            std = np.sqrt(2.0 / (ci * 27))
-            self.conv_w.append(Tensor(rng.normal(0.0, std, (co, ci, 3, 3, 3))))
-            self.conv_b.append(Tensor(np.zeros(co)))
-            ci = co
-        self.proj_w = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(self.trunk_dim), (feature_dim, self.trunk_dim))
-        )
-        self.proj_b = Tensor(np.zeros(feature_dim))
+    kernel = (3, 3, 3)
+    stream = 13
 
     def trunk(self, x: np.ndarray) -> np.ndarray:
         """Map volumes (N, M, S, H, W) to pooled features (N, trunk_dim)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 5 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"backbone expects (N, {self.in_channels}, S, H, W), got {x.shape}"
-            )
-        outs = []
-        for lo in range(0, x.shape[0], 8):
-            h = x[lo:lo + 8]
-            for w, b in zip(self.conv_w, self.conv_b):
-                h = _conv3d_relu(h, w.data, b.data)
-            outs.append(h.mean(axis=(2, 3, 4)))
-        return _rownorm(np.concatenate(outs, axis=0))
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.proj_w.data.T + self.proj_b.data
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return self.project(self.trunk(x))
-
-    def frozen_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            out[f"backbone.conv{i}.w"] = w
-            out[f"backbone.conv{i}.b"] = b
-        out["backbone.proj.w"] = self.proj_w
-        out["backbone.proj.b"] = self.proj_b
-        return out
+        return self._pooled(x, "(N, {}, S, H, W)", 8, _conv3d_relu)
 
 
 class AttentionPooler:
@@ -228,10 +190,6 @@ class AttentionPooler:
         return {"pooler.q": self.q}
 
 
-def attention_pool(pooler: AttentionPooler, feats) -> Tensor:
-    return pooler.forward(feats)
-
-
 class ClassifierHead:
     """Per-class sigmoid scores: multi-label, no cross-class normalization."""
 
@@ -276,71 +234,8 @@ class ClassifierHead:
         return out
 
 
-def classify(head: ClassifierHead, h) -> Tensor:
-    return head.forward(h)
-
-
-# ---------------------------------------------------------------------------
-# Path compositions
-# ---------------------------------------------------------------------------
-
 def slices_of(x: np.ndarray) -> np.ndarray:
     """Flatten (B, M, S, H, W) volumes to (B*S, M, H, W) slices, batch-major:
     row b*S + s holds slice s of volume b."""
     b, m, s, h, w = x.shape
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)).reshape(b * s, m, h, w)
-
-
-def extract_slice_features(
-    stub: SliceBackbone, x, lora: LoraAdapter | None = None
-) -> Tensor:
-    """Per-slice stub features for a batch of volumes, (B*S, d)."""
-    xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    z = stub.trunk(slices_of(xv))
-    f = stub.project(z)
-    if lora is not None:
-        f = f + lora.delta(z)
-    return Tensor(f)
-
-
-def forward_2d(
-    stub: SliceBackbone,
-    molre: MolreLayer | None,
-    pooler: AttentionPooler,
-    head: ClassifierHead,
-    x,
-    lora: LoraAdapter | None = None,
-) -> Tensor:
-    """Full 2D path: slices -> trunk -> adapted projection -> attention pool
-    -> head. A mixture, when given, carries the frozen projection as its W0
-    and routes per slice; otherwise the plain projection (plus an optional
-    single adapter) applies."""
-    xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if molre is not None:
-        z = stub.trunk(slices_of(xv))
-        f = molre.forward(z).data + stub.proj_b.data
-    else:
-        f = extract_slice_features(stub, xv, lora).data
-    b, s = xv.shape[0], xv.shape[2]
-    h = pooler.forward(f.reshape(b, s, -1)).data
-    return head.forward(h)
-
-
-def forward_3d(
-    stub: VolumeBackbone,
-    molre: MolreLayer | None,
-    head: ClassifierHead,
-    x,
-    lora: LoraAdapter | None = None,
-) -> Tensor:
-    """3D path: pooled volume features -> adapted projection (one routing
-    per volume) -> head."""
-    xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    z = stub.trunk(xv)
-    if molre is not None:
-        f = molre.forward(z).data + stub.proj_b.data
-    else:
-        f = stub.project(z)
-        if lora is not None:
-            f = f + lora.delta(z)
-    return head.forward(f)

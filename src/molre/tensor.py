@@ -2,8 +2,8 @@
 of the package composes, and a finite-difference gradient oracle.
 
 There is no general autodiff tape here: the model graphs in this package are
-fixed and shallow, so every layer implements its own backward pass out of the
-`*_backward` companions below. All math is 64-bit.
+fixed and shallow, so every layer implements its own backward pass with plain
+numpy and the `softmax_backward` companion below. All math is 64-bit.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def accumulate_grad(self, delta: np.ndarray) -> None:
-        if self.grad is None:
-            raise ValueError("tensor has no gradient buffer")
-        self.grad += delta
-
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy())
-        if self.grad is not None:
-            out.grad = self.grad.copy()
-        return out
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -87,23 +76,6 @@ def _as_array(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward primitives
 # ---------------------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    """Matrix product a @ b for 2-D operands."""
-    av, bv = _as_array(a), _as_array(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeError(
-            f"matmul: incompatible shapes {av.shape} and {bv.shape}"
-        )
-    return Tensor(av @ bv)
-
-
-def matmul_backward(grad_out: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of a @ b: (grad_out @ b.T, a.T @ grad_out)."""
-    av, bv = _as_array(a), _as_array(b)
-    g = np.asarray(grad_out, dtype=np.float64)
-    return g @ bv.T, av.T @ g
-
 
 def softmax(x, axis: int = -1) -> Tensor:
     """Softmax along `axis`, computed with max-subtraction for stability."""
@@ -123,14 +95,6 @@ def softmax_backward(grad_out: np.ndarray, out, axis: int = -1) -> np.ndarray:
     return y * (g - dot)
 
 
-def relu(x) -> Tensor:
-    return Tensor(np.maximum(_as_array(x), 0.0))
-
-
-def relu_backward(grad_out: np.ndarray, x) -> np.ndarray:
-    return np.asarray(grad_out, dtype=np.float64) * (_as_array(x) > 0.0)
-
-
 def sigmoid(x) -> Tensor:
     """Elementwise logistic function with the overflow-free two-branch form."""
     xv = _as_array(x)
@@ -140,11 +104,6 @@ def sigmoid(x) -> Tensor:
     e = np.exp(xv[~pos])
     out[~pos] = e / (1.0 + e)
     return Tensor(out)
-
-
-def sigmoid_backward(grad_out: np.ndarray, out) -> np.ndarray:
-    y = _as_array(out)
-    return np.asarray(grad_out, dtype=np.float64) * y * (1.0 - y)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import FocalLossConfig, focal_loss, focal_loss_backward, prevalence_weights
 from .metrics import aggregate, per_class_auc
@@ -33,10 +33,11 @@ from .rng import RngStream
 from .sampling import expand_indices, repeat_factors
 
 
-# config keys that fix the model's tensor shapes; a checkpoint must match all
-SHAPE_KEYS = (
-    "mode", "num_experts", "rank", "router_hidden", "feature_dim", "num_classes",
-    "in_channels", "stub_channels",
+# RunConfig's model block: these fix the tensor shapes, the frozen features
+# (stub_seed) or the adapter scale (lora_alpha); a checkpoint must match all
+MODEL_KEYS = (
+    "mode", "num_experts", "rank", "lora_alpha", "router_hidden", "feature_dim",
+    "num_classes", "in_channels", "stub_seed", "stub_channels",
 )
 
 
@@ -87,6 +88,34 @@ def build_model(cfg: RunConfig):
     if cfg.mode == "molre3d":
         return VolumeModel(**kwargs)
     return SliceModel(mode=cfg.mode, **kwargs)
+
+
+def load_model_params(model, cfg: RunConfig, tensors: dict, sections: dict) -> None:
+    """Copy a checkpoint's parameters into `model`, which was built from `cfg`.
+
+    Raises CheckpointError naming the first model-block key on which the
+    checkpoint's config and `cfg` differ, or the first parameter the
+    checkpoint lacks or holds at another shape; the model is untouched then.
+    """
+    # compared as plain JSON values, so a list and a tuple of the same ints match
+    saved, ours = RunConfig.from_dict(sections["config"]).to_dict(), cfg.to_dict()
+    for key in MODEL_KEYS:
+        if saved[key] != ours[key]:
+            raise CheckpointError(
+                f"checkpoint was trained with {key}={saved[key]!r}, "
+                f"this run has {key}={ours[key]!r}"
+            )
+    params = model.parameters()
+    for name, t in params.items():
+        if name not in tensors:
+            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+        if tensors[name].shape != t.shape:
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} has shape {tensors[name].shape}, "
+                f"the model needs {t.shape}"
+            )
+    for name, t in params.items():
+        t.data[...] = tensors[name]
 
 
 def windowed(sample) -> np.ndarray:
@@ -300,17 +329,7 @@ class Trainer:
 
     def load_state(self, path: str | Path) -> None:
         tensors, sections = load_checkpoint(path)
-        # compared as plain JSON values, so a list and a tuple of the same ints match
-        saved, ours = RunConfig.from_dict(sections["config"]).to_dict(), self.cfg.to_dict()
-        for key in SHAPE_KEYS:
-            if saved[key] != ours[key]:
-                raise NumericalAbort(
-                    f"checkpoint was trained with {key}={saved[key]!r}, "
-                    f"this run has {key}={ours[key]!r}"
-                )
-        params = self.model.parameters()
-        for name, t in params.items():
-            t.data[...] = tensors[name]
+        load_model_params(self.model, self.cfg, tensors, sections)
         state = sections["train_state"]
         self.optimizer.load_state(tensors, state["step_count"])
         self.epochs_done = int(state["epoch"])

@@ -18,18 +18,13 @@ from molre.adapters import (
     MolreLayer,
     Router,
     count_molre_params,
-    lora_forward,
 )
 from molre.cli import main
 from molre.config import RunConfig
 from molre.losses import FocalLossConfig, focal_loss
 from molre.metrics import aggregate, auc, per_class_auc
-from molre.pipeline import (
-    AttentionPooler,
-    ClassifierHead,
-    SliceBackbone,
-    forward_2d,
-)
+from molre.model import SliceModel
+from molre.pipeline import AttentionPooler, ClassifierHead
 from molre.preprocess import (
     DEFAULT_WINDOWS,
     AugmentConfig,
@@ -164,7 +159,9 @@ def test_c04_single_expert_matches_lora_forward():
         layer = MolreLayer(w0, bank, router, expert_scale=None, alpha=alpha)
 
         x = rng.normal(size=(n, d_in))
-        diff = np.abs(layer.forward(x).data - lora_forward(adapter, w0, x).data).max()
+        # the plain adapter in closed form, x W0^T + (alpha/r) (x A^T) B^T
+        lora = x @ w0.data.T + (alpha / r) * ((x @ adapter.A.data.T) @ adapter.B.data.T)
+        diff = np.abs(layer.forward(x).data - lora).max()
         worst = max(worst, diff)
         assert diff <= 1e-12, f"K=1 deviates from the plain adapter by {diff:.2e}"
     print(f"100 instances, worst |diff| {worst:.2e}")
@@ -174,25 +171,22 @@ def test_c04_single_expert_matches_lora_forward():
 
 
 def test_c05_zero_init_transparency():
-    stub = SliceBackbone()
-    layer = MolreLayer(
-        stub.proj_w,
-        ExpertBank(6, stub.trunk_dim, stub.feature_dim, 8),
-        Router(stub.trunk_dim, 6, 256),
-    )
-    pooler = AttentionPooler(stub.feature_dim)
-    head = ClassifierHead(stub.feature_dim, 12)
+    mix = SliceModel(mode="molre")
+    base = SliceModel(mode="baseline-frozen")
+    base.stub = mix.stub
     seeds = RngStream(2)
-    layer.init(seeds.child("mix"))
-    pooler.init(seeds.child("pool"))
-    head.init(seeds.child("head"))
+    mix.init_params(seeds)
+    base.init_params(seeds)
     jitter = np.random.default_rng(3)
-    pooler.q.data[...] = jitter.normal(size=pooler.q.shape)
-    head.w.data[...] = jitter.normal(size=head.w.shape)
+    q = jitter.normal(size=mix.pooler.q.shape)
+    w = jitter.normal(size=mix.head.w.shape)
+    for m in (mix, base):
+        m.pooler.q.data[...] = q
+        m.head.w.data[...] = w
 
     x = jitter.uniform(0, 1, (2, 3, 4, 32, 32))
-    with_mix = forward_2d(stub, layer, pooler, head, x).data
-    without = forward_2d(stub, None, pooler, head, x).data
+    with_mix = mix.forward(x)
+    without = base.forward(x)
     assert np.array_equal(with_mix, without)
     assert np.abs(with_mix - without).max() == 0.0
 

@@ -7,8 +7,8 @@ from molre.adapters import (
     MolreLayer,
     Router,
     count_molre_params,
-    lora_forward,
 )
+from molre.model import SliceModel
 from molre.rng import RngStream
 from molre.tensor import ShapeError, Tensor, finite_diff_grad
 
@@ -71,15 +71,16 @@ def test_lora_backward_matches_finite_diff():
 
 
 def test_lora_forward_adds_frozen_base():
-    ad = LoraAdapter(6, 4, rank=2)
-    ad.init(RngStream(2))
-    ad.B.data[...] = _rand((4, 2), 7)
-    w0 = Tensor(_rand((4, 6), 8))
-    x = _rand((3, 6), 9)
-    out = lora_forward(ad, w0, x)
-    assert np.allclose(out.data, x @ w0.data.T + ad.delta(x), atol=1e-15)
+    # the adapter's one entry point in a model: the frozen projection plus delta
+    m = SliceModel(mode="lora", feature_dim=4, num_classes=3, rank=2)
+    m.init_params(RngStream(2))
+    m.lora.B.data[...] = _rand((4, 2), 7)
+    z = _rand((1, 3, 64), 9)
+    _, cache = m.forward_trunk_cached(z)
+    want = z[0] @ m.stub.proj_w.data.T + m.stub.proj_b.data + m.lora.delta(z[0])
+    assert np.allclose(cache["pool"]["f"][0], want, atol=1e-15)
     with pytest.raises(ShapeError):
-        lora_forward(ad, w0, _rand((3, 5), 10))
+        m.forward(np.zeros((1, 2, 3, 16, 16)))  # two windows, the stub takes three
 
 
 # -- expert bank ---------------------------------------------------------
@@ -100,6 +101,10 @@ def test_expert_bank_parameter_names():
     bank = ExpertBank(2, 3, 3, rank=1)
     names = sorted(bank.parameters())
     assert names == ["experts.A", "experts.B"]
+    # the plain adapter is the one-expert bank under its own names
+    lora = LoraAdapter(3, 3, rank=1)
+    assert isinstance(lora, ExpertBank) and lora.num_experts == 1
+    assert sorted(lora.parameters()) == ["lora.A", "lora.B"]
 
 
 def test_expert_bank_validates_args():
@@ -202,7 +207,7 @@ def test_mixture_k1_equals_lora_forward():
     layer.bank.B.data[:, :2] = b
     x = rng.normal(size=(9, 6))
     assert np.allclose(
-        layer.forward(x).data, lora_forward(ad, layer.w0, x).data, atol=1e-12
+        layer.forward(x).data, x @ layer.w0.data.T + ad.delta(x), atol=1e-12
     )
 
 

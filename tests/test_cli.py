@@ -149,6 +149,23 @@ def test_eval_split_without_evaluable_class_exits_data(tmp_path, capsys):
     assert err.startswith("data error:") and "both" in err
 
 
+@pytest.mark.parametrize("override", ["rank=4", "stub_seed=99"])
+def test_eval_rejects_checkpoint_that_does_not_match_the_run(tmp_path, capsys, override):
+    # rank changes a tensor shape; stub_seed changes only the frozen features
+    data_dir = _synth(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["train", *TINY, "--set", f"data_dir={data_dir}", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--split", "test",
+                 "--set", override, "--out", str(tmp_path / "ev")])
+    assert code == 3
+    err = capsys.readouterr().err
+    key = override.split("=")[0]
+    assert err.startswith("data error:") and f"this run has {key}=" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_numerical_abort_exits_4(monkeypatch, tmp_path):
     data_dir = _synth(tmp_path)
 

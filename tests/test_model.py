@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from molre.config import MODES, RunConfig
 from molre.model import SliceModel, VolumeModel
+from molre.pipeline import SliceBackbone, VolumeBackbone
 from molre.rng import RngStream
+from molre.training import build_model
 from molre.tensor import finite_diff_grad
 
 
@@ -114,7 +119,7 @@ def test_volume_model_forward_and_groups():
     assert set(groups["adapter"]) == set(m.molre.parameters())
 
     # mixture is transparent at init: same probs as the frozen stub alone
-    bare = m.head.forward(m.stub.features(x)).data
+    bare = m.head.forward(m.stub.project(m.stub.trunk(x))).data
     assert np.array_equal(bare, probs)
 
 
@@ -143,3 +148,33 @@ def test_volume_model_backward_matches_finite_diff():
         num = finite_diff_grad(loss, t.data.ravel().copy()).reshape(t.data.shape)
         scale = max(np.abs(num).max(), 1e-8)
         assert np.abs(t.grad - num).max() / scale < 1e-5, name
+
+
+def _digest(params):
+    """SHA-256 over names, shapes and float64 bytes, in parameter order."""
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(name.encode())
+        h.update(str(t.data.shape).encode())
+        h.update(np.ascontiguousarray(t.data).tobytes())
+    return h.hexdigest()
+
+
+def test_frozen_stubs_and_init_draws_are_pinned():
+    # checkpoints store stub_seed, not the stub weights: redrawing the stubs
+    # or the init would silently change what every saved checkpoint means
+    assert _digest(SliceBackbone().frozen_parameters()) == (
+        "689d46e6a2d86d3e519d25688f6f2fe0a48ebd087229b530a3014d97ab45b969")
+    assert _digest(VolumeBackbone().frozen_parameters()) == (
+        "09f30455a02a96ea1af9396efbcadeb3ac1187870ceffccdf1b2ce2e096d2752")
+    want = {
+        "baseline-frozen": "5079a006ff9114afbaf98de0795e4e57ce06982aa7bfd1a74251dc42be0fe2fd",
+        "lora": "ff868f1b929152f95e1d779dcfd24d8530504b76607535831e57a67227066e0d",
+        "molre": "68ddcbe361f8867de84a90bbe7df763074eceead712174fce8f78fa9b766eeb9",
+        "molre3d": "8c370b61a72b139c4d7d0eb405da542a6f25828014973635e192f73db598ffaf",
+    }
+    assert tuple(want) == MODES
+    for mode in MODES:
+        model = build_model(RunConfig(mode=mode))
+        model.init_params(RngStream(0))
+        assert _digest(model.parameters()) == want[mode], mode

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from molre.adapters import ExpertBank, LoraAdapter, MolreLayer, Router
+from molre.model import SliceModel, VolumeModel
 from molre.pipeline import (
     AttentionPooler,
     ClassifierHead,
@@ -10,9 +10,6 @@ from molre.pipeline import (
     _conv2d_relu,
     _conv3d_relu,
     _rownorm,
-    extract_slice_features,
-    forward_2d,
-    forward_3d,
     slices_of,
 )
 from molre.rng import RngStream
@@ -72,7 +69,7 @@ def test_slice_backbone_shapes_and_determinism():
     x = np.random.default_rng(3).uniform(0, 1, (4, 3, 64, 64))
     z = stub.trunk(x)
     assert z.shape == (4, 64)
-    f = stub.features(x)
+    f = stub.project(z)
     assert f.shape == (4, 32)
     again = SliceBackbone(in_channels=3, feature_dim=32)
     assert np.array_equal(again.trunk(x), z)
@@ -93,7 +90,7 @@ def test_volume_backbone_shapes():
     x = np.random.default_rng(4).uniform(0, 1, (2, 3, 16, 32, 32))
     z = stub.trunk(x)
     assert z.shape == (2, 64)
-    assert stub.features(x).shape == (2, 32)
+    assert stub.project(z).shape == (2, 32)
     with pytest.raises(ShapeError):
         stub.trunk(np.zeros((2, 3, 8, 8)))
 
@@ -227,63 +224,54 @@ def test_slices_of_layout():
 
 
 def test_extract_slice_features_matches_manual():
-    stub = SliceBackbone(feature_dim=8)
-    x = np.random.default_rng(16).uniform(0, 1, (2, 3, 16, 16))[None].transpose(1, 0, 2, 3, 4)
-    # x is (B=2? ...) build properly: (B, M, S, H, W)
+    # the slice model's per-slice features: the projected trunk, plus the
+    # adapter's update in lora mode
     x = np.random.default_rng(16).uniform(0, 1, (2, 3, 4, 16, 16))
-    f = extract_slice_features(stub, x).data
-    want = stub.project(stub.trunk(slices_of(x)))
-    assert np.array_equal(f, want)
-    ad = LoraAdapter(64, 8, rank=2)
-    ad.init(RngStream(2))
-    ad.B.data[...] = np.random.default_rng(17).normal(size=(8, 2))
-    f2 = extract_slice_features(stub, x, ad).data
-    z = stub.trunk(slices_of(x))
-    assert np.allclose(f2, stub.project(z) + ad.delta(z), atol=1e-15)
+    base = SliceModel(mode="baseline-frozen", feature_dim=8)
+    z = base.stub.trunk(slices_of(x))
+    _, cache = base.forward_trunk_cached(z.reshape(2, 4, -1))
+    assert np.array_equal(cache["pool"]["f"].reshape(8, -1), base.stub.project(z))
+    lora = SliceModel(mode="lora", feature_dim=8, rank=2)
+    lora.init_params(RngStream(2))
+    lora.lora.B.data[...] = np.random.default_rng(17).normal(size=(8, 2))
+    _, cache = lora.forward_trunk_cached(z.reshape(2, 4, -1))
+    f2 = cache["pool"]["f"].reshape(8, -1)
+    assert np.allclose(f2, lora.stub.project(z) + lora.lora.delta(z), atol=1e-15)
 
 
-def _mixture_for(stub, k=3, rank=2, hidden=5):
-    layer = MolreLayer(
-        stub.proj_w,
-        ExpertBank(k, stub.trunk_dim, stub.feature_dim, rank),
-        Router(stub.trunk_dim, k, hidden),
-    )
-    layer.init(RngStream(3))
-    return layer
+def _models_2d(seed, **kw):
+    """A molre and a baseline-frozen slice model with one stub and equal
+    head and pooler."""
+    mix = SliceModel(mode="molre", feature_dim=8, num_classes=5,
+                     num_experts=3, rank=2, router_hidden=5, **kw)
+    base = SliceModel(mode="baseline-frozen", feature_dim=8, num_classes=5, **kw)
+    mix.init_params(RngStream(seed))
+    base.init_params(RngStream(seed))
+    base.stub = mix.stub
+    return mix, base
 
 
 def test_forward_2d_transparent_at_init():
-    stub = SliceBackbone(feature_dim=8)
-    pooler = AttentionPooler(8)
-    head = ClassifierHead(8, 5)
-    rng = RngStream(4)
-    pooler.init(rng.child("pooler"))
-    head.init(rng.child("head"))
+    mix, base = _models_2d(4)
     x = np.random.default_rng(18).uniform(0, 1, (2, 3, 4, 16, 16))
-    with_mix = forward_2d(stub, _mixture_for(stub), pooler, head, x)
-    without = forward_2d(stub, None, pooler, head, x)
-    assert np.array_equal(with_mix.data, without.data)
+    assert np.array_equal(mix.forward(x), base.forward(x))
 
 
 def test_forward_2d_diverges_once_experts_move():
-    stub = SliceBackbone(feature_dim=8)
-    pooler = AttentionPooler(8); pooler.init(RngStream(5))
-    head = ClassifierHead(8, 5); head.init(RngStream(6))
-    head.w.data[...] = np.random.default_rng(21).normal(size=(5, 8))
-    layer = _mixture_for(stub)
-    layer.bank.B.data[:, :layer.bank.rank] = 0.5  # expert 0's columns
+    mix, base = _models_2d(5)
+    w = np.random.default_rng(21).normal(size=(5, 8))
+    mix.head.w.data[...] = w
+    base.head.w.data[...] = w
+    mix.molre.bank.B.data[:, :mix.molre.bank.rank] = 0.5  # expert 0's columns
     x = np.random.default_rng(19).uniform(0, 1, (2, 3, 4, 16, 16))
-    a = forward_2d(stub, layer, pooler, head, x)
-    b = forward_2d(stub, None, pooler, head, x)
-    assert not np.array_equal(a.data, b.data)
+    assert not np.array_equal(mix.forward(x), base.forward(x))
 
 
 def test_forward_3d_transparent_at_init():
-    stub = VolumeBackbone(feature_dim=8)
-    head = ClassifierHead(8, 5)
-    head.init(RngStream(7))
+    m = VolumeModel(feature_dim=8, num_classes=5, num_experts=3, rank=2, router_hidden=5)
+    m.init_params(RngStream(7))
     x = np.random.default_rng(20).uniform(0, 1, (2, 3, 16, 16, 16))
-    with_mix = forward_3d(stub, _mixture_for(stub), head, x)
-    without = forward_3d(stub, None, head, x)
-    assert np.array_equal(with_mix.data, without.data)
-    assert with_mix.data.shape == (2, 5)
+    with_mix = m.forward(x)
+    without = m.head.forward(m.stub.project(m.stub.trunk(x))).data
+    assert np.array_equal(with_mix, without)
+    assert with_mix.shape == (2, 5)

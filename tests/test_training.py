@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from molre.checkpoint import CheckpointError
 from molre.config import RunConfig
 from molre.training import (
     EarlyStopState,
@@ -203,7 +204,8 @@ def test_load_state_rejects_mode_mismatch(tmp_path):
         data = FakeDataset(8, num_classes=cfg.num_classes)
         return Trainer(cfg, data, data, train_cache=z, val_cache=z)
 
-    # every key that fixes a tensor shape, the mode first
+    # every key of the model block, the mode first: the shape keys, then the
+    # two that change the frozen features or the adapter scale but no shape
     for key, value in [
         ("mode", "lora"),
         ("num_experts", 2),
@@ -213,10 +215,12 @@ def test_load_state_rejects_mode_mismatch(tmp_path):
         ("num_classes", 2),
         ("in_channels", 1),
         ("stub_channels", (8, 16, 32)),
+        ("stub_seed", 99),
+        ("lora_alpha", 8.0),
     ]:
         path = tmp_path / f"{key}.ckpt"
         trainer(tiny_cfg(**{key: value})).save_state(path)
-        with pytest.raises(NumericalAbort, match=f"with {key}=.*this run has {key}="):
+        with pytest.raises(CheckpointError, match=f"with {key}=.*this run has {key}="):
             trainer(tiny_cfg()).load_state(path)
 
     # a list and a tuple of the same channels give the same shapes
