@@ -2,7 +2,9 @@
 Adapter basics: a frozen weight, a low-rank update, and a routed mixture
 ========================================================================
 
-Everything here runs on plain float64 numpy. The three layers on display:
+Everything here runs on plain float64 numpy. The three layers on display
+(the router and the mixture are called through their one entry point,
+`forward_cached`, which returns the output and the cache for backward):
 
   * LoraAdapter      -- one rank-r update  delta(x) = (alpha/r) * B A x; it is
                         the expert bank with one expert and no router
@@ -41,7 +43,7 @@ layer = MolreLayer(w0, ExpertBank(experts, d_in, d_out, rank), Router(d_in, expe
 layer.init(RngStream(1))
 
 frozen_out = x @ w0.data.T
-print("transparent at init:", np.array_equal(layer.forward(x).data, frozen_out))
+print("transparent at init:", np.array_equal(layer.forward_cached(x)[0], frozen_out))
 
 # ---------------------------------------------------------------------------
 # 2) with K=1 the mixture IS the plain low-rank adapter
@@ -58,7 +60,7 @@ solo.bank.B.data[:, :rank] = adapter.B.data
 
 # the plain adapter in closed form: x W0^T + (alpha/r) (x A^T) B^T
 lora_out = x @ w0.data.T + adapter.scaling * ((x @ adapter.A.data.T) @ adapter.B.data.T)
-diff = np.abs(solo.forward(x).data - lora_out).max()
+diff = np.abs(solo.forward_cached(x)[0] - lora_out).max()
 print(f"K=1 vs plain adapter, max |diff|: {diff:.2e}")
 
 # ---------------------------------------------------------------------------
@@ -66,7 +68,7 @@ print(f"K=1 vs plain adapter, max |diff|: {diff:.2e}")
 # ---------------------------------------------------------------------------
 for t in layer.router.parameters().values():
     t.data[...] = rng.normal(size=t.data.shape) * 0.2
-gates = layer.router.forward(x).data
+gates = layer.router.forward_cached(x)[0]
 print("gate rows:", np.round(gates, 3))
 print("row sums:", gates.sum(axis=1))
 

@@ -18,19 +18,19 @@ from molre.checkpoint import load_checkpoint
 from molre.config import RunConfig
 from molre.metrics import evaluate, param_report, write_report
 from molre.synthetic import SynthConfig, SyntheticDataset
-from molre.training import build_model, predict_probs
+from molre.training import build_model, load_model_params, predict_probs
 
 RUN_DIR = Path(__file__).resolve().parent / "runs" / "demo-run"
 ckpt = RUN_DIR / "best.ckpt"
 if not ckpt.exists():
     sys.exit(f"{ckpt} not found -- run demos/03_small_training_run.py first")
 
-# the checkpoint carries everything needed to rebuild the model
+# the checkpoint carries everything needed to rebuild the model; the same
+# check as `molre eval` makes sure its tensors fit the rebuilt model
 tensors, sections = load_checkpoint(ckpt)
 cfg = RunConfig.from_dict(sections["config"])
 model = build_model(cfg)
-for name, t in model.parameters().items():
-    t.data[...] = tensors[name]
+load_model_params(model, cfg, tensors, sections)
 print(f"restored mode={cfg.mode} from epoch {sections['train_state']['epoch']} "
       f"(best val AUC {sections['train_state']['best_val_auc']:.4f})")
 

@@ -44,7 +44,6 @@ from .synthetic import (
     SyntheticDataset,
     class_prevalences,
     sample_label_matrix,
-    synth_dataset,
     synth_sample,
 )
 from .tensor import OracleError, ShapeError, Tensor, finite_diff_grad
@@ -61,7 +60,6 @@ from .training import (
 from .volumes import (
     DataError,
     DiskDataset,
-    InMemoryDataset,
     VolumeSample,
     read_volume,
     write_volume,

@@ -20,10 +20,14 @@ with no loop over experts. Adapters read frozen trunk features, so their
 backward passes accumulate parameter gradients only and return no input
 gradient.
 
-The expert scaling s defaults to alpha/rank so that a K=1 mixture collapses
+The bank owns the expert scaling s = alpha/rank, so a K=1 mixture collapses
 exactly to the plain low-rank adapter baseline. That baseline, `LoraAdapter`,
-is the bank with K=1 and no router (gate 1): it shares the bank's storage
-and init and adds only its scale and its ungated update.
+is the bank with K=1 and no router (gate 1): it shares the bank's storage,
+init and scale and adds only its ungated update.
+
+The router and the mixture each have one entry point, `forward_cached`,
+which takes a plain ndarray and returns the output with the cache its
+backward reads.
 """
 
 from __future__ import annotations
@@ -37,11 +41,14 @@ from .tensor import ShapeError, Tensor, softmax, softmax_backward
 class ExpertBank:
     """K low-rank experts sharing one (rank, d_in, d_out) signature, stacked:
     A is (K*rank, d_in), B is (d_out, K*rank); expert i owns rows (of A) and
-    columns (of B) i*rank:(i+1)*rank."""
+    columns (of B) i*rank:(i+1)*rank. Every expert's update is scaled by
+    alpha/rank."""
 
     prefix = "experts"  # parameter names are "<prefix>.A" and "<prefix>.B"
 
-    def __init__(self, num_experts: int, d_in: int, d_out: int, rank: int = 8):
+    def __init__(
+        self, num_experts: int, d_in: int, d_out: int, rank: int = 8, alpha: float = 16.0
+    ):
         if num_experts < 1:
             raise ValueError("expert bank needs at least one expert")
         if rank < 1 or rank > min(d_in, d_out):
@@ -50,6 +57,8 @@ class ExpertBank:
         self.d_in = d_in
         self.d_out = d_out
         self.rank = rank
+        self.alpha = float(alpha)
+        self.scaling = self.alpha / rank
         self.A = Tensor.zeros((num_experts * rank, d_in), requires_grad=True)
         self.B = Tensor.zeros((d_out, num_experts * rank), requires_grad=True)
 
@@ -70,12 +79,7 @@ class LoraAdapter(ExpertBank):
     prefix = "lora"
 
     def __init__(self, d_in: int, d_out: int, rank: int = 8, alpha: float = 16.0):
-        super().__init__(1, d_in, d_out, rank)
-        self.alpha = float(alpha)
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
+        super().__init__(1, d_in, d_out, rank, alpha)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
         """Adapter contribution for a batch of rows x (N x d_in)."""
@@ -107,21 +111,18 @@ class Router:
         self.W2.data[...] = rng.normal(0.0, np.sqrt(2.0 / self.hidden), self.W2.shape)
         self.b2.data.fill(0.0)
 
-    def forward(self, x) -> Tensor:
-        gates, _ = self.forward_cached(x)
-        return Tensor(gates)
-
-    def forward_cached(self, x) -> tuple[np.ndarray, dict]:
-        xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if xv.ndim != 2 or xv.shape[1] != self.d_in:
-            raise ShapeError(f"router: expected (N, {self.d_in}), got {xv.shape}")
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Gates (N, K) for rows x (N, d_in), each row on the simplex."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.d_in:
+            raise ShapeError(f"router: expected (N, {self.d_in}), got {x.shape}")
         # in place: a fresh (N, hidden) array costs more than the add or the relu
-        hid = xv @ self.W1.data.T
+        hid = x @ self.W1.data.T
         hid += self.b1.data
         np.maximum(hid, 0.0, out=hid)
         logits = hid @ self.W2.data.T + self.b2.data
-        gates = softmax(logits, axis=1).data
-        return gates, {"x": xv, "hid": hid, "gates": gates}
+        gates = softmax(logits, axis=1)
+        return gates, {"x": x, "hid": hid, "gates": gates}
 
     def backward(self, cache: dict, grad_gates: np.ndarray) -> None:
         """Accumulate the router's parameter gradients."""
@@ -145,19 +146,12 @@ class Router:
 class MolreLayer:
     """Frozen base weight plus a routed bank of low-rank experts.
 
-    `w0` never receives gradients. `expert_scale` multiplies every expert
-    contribution; the default alpha/rank makes the K=1 case reproduce the
-    plain adapter baseline bit for bit.
+    `w0` never receives gradients. Every expert contribution is scaled by the
+    bank's alpha/rank, so the K=1 case reproduces the plain adapter baseline
+    bit for bit.
     """
 
-    def __init__(
-        self,
-        w0: Tensor,
-        bank: ExpertBank,
-        router: Router,
-        expert_scale: float | None = None,
-        alpha: float = 16.0,
-    ):
+    def __init__(self, w0: Tensor, bank: ExpertBank, router: Router):
         if bank.num_experts != router.num_experts:
             raise ValueError(
                 f"bank has {bank.num_experts} experts, router routes {router.num_experts}"
@@ -170,48 +164,27 @@ class MolreLayer:
         self.w0.grad = None
         self.bank = bank
         self.router = router
-        self.expert_scale = float(
-            expert_scale if expert_scale is not None else alpha / bank.rank
-        )
-
-    @classmethod
-    def identity(
-        cls,
-        dim: int,
-        num_experts: int,
-        rank: int = 8,
-        router_hidden: int = 256,
-        expert_scale: float | None = None,
-        alpha: float = 16.0,
-    ) -> "MolreLayer":
-        """Mixture over the identity base map — a pure feature adapter."""
-        bank = ExpertBank(num_experts, dim, dim, rank)
-        router = Router(dim, num_experts, router_hidden)
-        return cls(Tensor(np.eye(dim)), bank, router, expert_scale, alpha)
 
     def init(self, rng: RngStream) -> None:
         self.bank.init(rng.child("experts"))
         self.router.init(rng.child("router"))
 
-    def forward(self, x) -> Tensor:
-        out, _ = self.forward_cached(x)
-        return Tensor(out)
-
-    def forward_cached(self, x) -> tuple[np.ndarray, dict]:
-        xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if xv.ndim != 2 or xv.shape[1] != self.bank.d_in:
-            raise ShapeError(f"mixture: expected (N, {self.bank.d_in}), got {xv.shape}")
-        gates, rcache = self.router.forward_cached(xv)
-        u = xv @ self.bank.A.data.T  # (N, K*r): every expert's down-projection
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Outputs (N, d_out) for rows x (N, d_in)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.bank.d_in:
+            raise ShapeError(f"mixture: expected (N, {self.bank.d_in}), got {x.shape}")
+        gates, rcache = self.router.forward_cached(x)
+        u = x @ self.bank.A.data.T  # (N, K*r): every expert's down-projection
         rep_gates = np.repeat(gates, self.bank.rank, axis=1)  # gate i on expert i's r columns
         ug = u * rep_gates
-        out = xv @ self.w0.data.T + self.expert_scale * (ug @ self.bank.B.data.T)
-        return out, {"x": xv, "router": rcache, "u": u, "rep_gates": rep_gates, "ug": ug}
+        out = x @ self.w0.data.T + self.bank.scaling * (ug @ self.bank.B.data.T)
+        return out, {"x": x, "router": rcache, "u": u, "rep_gates": rep_gates, "ug": ug}
 
     def backward(self, cache: dict, grad_out: np.ndarray) -> None:
         """Accumulate bank and router gradients. W0 is frozen and x is a
         frozen feature, so no input gradient is formed."""
-        gs = self.expert_scale * grad_out
+        gs = self.bank.scaling * grad_out
         self.bank.B.grad += gs.T @ cache["ug"]
         gug = gs @ self.bank.B.data
         self.bank.A.grad += (gug * cache["rep_gates"]).T @ cache["x"]

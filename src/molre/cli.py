@@ -22,6 +22,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
+from .preprocess import DEFAULT_WINDOWS
 from .synthetic import SynthConfig, class_prevalences, synth_sample
 from .training import NumericalAbort, Trainer, build_model, load_model_params, predict_probs
 from .volumes import DataError, DiskDataset, write_manifest, write_volume
@@ -40,6 +41,16 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "out", None):
         cfg.out_dir = args.out
     return cfg.validate()
+
+
+def _check_windows(cfg: RunConfig) -> None:
+    """The trunk reads one channel per HU window; reject a mismatch before
+    any volume is read."""
+    if cfg.in_channels != len(DEFAULT_WINDOWS):
+        raise ConfigError(
+            f"in_channels={cfg.in_channels}, but volumes are windowed into "
+            f"{len(DEFAULT_WINDOWS)} channels"
+        )
 
 
 def _split_counts(n: int, cfg: RunConfig) -> tuple[int, int]:
@@ -95,6 +106,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    _check_windows(cfg)
     if not cfg.data_dir:
         raise DataError("train needs data_dir pointing at a synthesized dataset")
     train_data = DiskDataset(cfg.data_dir, "train")
@@ -115,6 +127,7 @@ def cmd_eval(args) -> int:
     tensors, sections = load_checkpoint(args.checkpoint)
     cfg = RunConfig.from_dict(sections["config"])
     cfg = apply_overrides(cfg, args.set or [])
+    _check_windows(cfg)
     model = build_model(cfg)
     load_model_params(model, cfg, tensors, sections)
     if not cfg.data_dir:

@@ -77,9 +77,14 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode in ("molre", "molre3d") and self.num_experts < 1:
             raise ConfigError(f"mode {self.mode} needs num_experts >= 1")
-        if self.rank < 1 or self.rank > self.feature_dim:
+        if not self.stub_channels or min(self.stub_channels) < 1:
             raise ConfigError(
-                f"rank must be in [1, feature_dim={self.feature_dim}], got {self.rank}"
+                f"stub_channels must be one or more positive ints, got {self.stub_channels}"
+            )
+        if self.rank < 1 or self.rank > min(self.feature_dim, self.stub_channels[-1]):
+            raise ConfigError(
+                f"rank must be in [1, min(feature_dim={self.feature_dim}, "
+                f"stub_channels[-1]={self.stub_channels[-1]})], got {self.rank}"
             )
         if self.router_hidden < 1:
             raise ConfigError("router_hidden must be >= 1")

@@ -135,18 +135,16 @@ def format_param_table(rows) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: MetricsReport, out_dir: Path, class_names=None) -> None:
+def write_report(report: MetricsReport, out_dir: Path) -> None:
     """Serialize one evaluation: a text table with one row per class and a
     machine-readable JSON summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    c = len(report.per_class_auc)
-    names = class_names or [f"class_{i:02d}" for i in range(c)]
     lines = [f"{'class':<12} {'auc':>8} {'n_pos':>7} {'n_neg':>7}"]
-    for i in range(c):
-        a = report.per_class_auc[i]
+    for i, a in enumerate(report.per_class_auc):
         a_str = f"{a:.4f}" if a is not None else "null"
-        lines.append(f"{names[i]:<12} {a_str:>8} {report.n_pos[i]:>7} {report.n_neg[i]:>7}")
+        name = f"class_{i:02d}"
+        lines.append(f"{name:<12} {a_str:>8} {report.n_pos[i]:>7} {report.n_neg[i]:>7}")
     lines.append("")
     lines.append(f"mean_auc {report.mean_auc:.4f}  std_auc {report.std_auc:.4f}")
     lines.append(f"bucket_high {report.bucket_high}  bucket_mid {report.bucket_mid}")

@@ -69,9 +69,8 @@ class _Model:
         self.molre = (
             MolreLayer(
                 self.stub.proj_w,
-                ExpertBank(num_experts, p, feature_dim, rank),
+                ExpertBank(num_experts, p, feature_dim, rank, lora_alpha),
                 Router(p, num_experts, router_hidden),
-                alpha=lora_alpha,
             )
             if mode in ("molre", "molre3d")
             else None

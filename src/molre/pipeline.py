@@ -10,8 +10,9 @@ The adapters replace or extend that final projection.
 
 `AttentionPooler` collapses a volume's S slice features into one vector with
 a single learnable query; `ClassifierHead` scores the C findings with
-independent sigmoids. The models in `model.py` compose these with the
-adapters; each model has exactly one forward path.
+independent sigmoids. Each takes plain ndarrays through its one entry point,
+`forward_cached`. The models in `model.py` compose these with the adapters;
+each model has exactly one forward path.
 """
 
 from __future__ import annotations
@@ -161,19 +162,16 @@ class AttentionPooler:
         # zero query => uniform attention at init; training sharpens it
         self.q.data.fill(0.0)
 
-    def forward(self, feats) -> Tensor:
-        h, _ = self.forward_cached(feats)
-        return Tensor(h)
-
-    def forward_cached(self, feats) -> tuple[np.ndarray, dict]:
-        f = feats.data if isinstance(feats, Tensor) else np.asarray(feats, dtype=np.float64)
+    def forward_cached(self, feats: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Pooled features (B, d) for slice features (B, S, d)."""
+        f = np.asarray(feats, dtype=np.float64)
         if f.ndim != 3 or f.shape[2] != self.feature_dim:
             raise ShapeError(f"pooler expects (B, S, {self.feature_dim}), got {f.shape}")
         if f.shape[1] == 0:
             raise ShapeError("cannot pool an empty volume (S=0)")
         scale = 1.0 / np.sqrt(self.feature_dim)
         scores = (f @ self.q.data) * scale
-        alpha = softmax(scores, axis=1).data
+        alpha = softmax(scores, axis=1)
         h = np.einsum("bs,bsd->bd", alpha, f)
         return h, {"f": f, "alpha": alpha, "scale": scale}
 
@@ -193,45 +191,34 @@ class AttentionPooler:
 class ClassifierHead:
     """Per-class sigmoid scores: multi-label, no cross-class normalization."""
 
-    def __init__(self, feature_dim: int, num_classes: int, bias: bool = True):
+    def __init__(self, feature_dim: int, num_classes: int):
         self.feature_dim = feature_dim
         self.num_classes = num_classes
         self.w = Tensor.zeros((num_classes, feature_dim), requires_grad=True)
-        self.b = Tensor.zeros((num_classes,), requires_grad=True) if bias else None
+        self.b = Tensor.zeros((num_classes,), requires_grad=True)
 
     def init(self, rng: RngStream) -> None:
         # zero init: every class starts at p=0.5 and calibrates from the data
         self.w.data.fill(0.0)
-        if self.b is not None:
-            self.b.data.fill(0.0)
+        self.b.data.fill(0.0)
 
-    def forward(self, h) -> Tensor:
-        probs, _ = self.forward_cached(h)
-        return Tensor(probs)
-
-    def forward_cached(self, h) -> tuple[np.ndarray, dict]:
-        hv = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64)
-        if hv.ndim != 2 or hv.shape[1] != self.feature_dim:
-            raise ShapeError(f"head expects (B, {self.feature_dim}), got {hv.shape}")
-        logits = hv @ self.w.data.T
-        if self.b is not None:
-            logits = logits + self.b.data
-        probs = sigmoid(logits).data
-        return probs, {"h": hv, "probs": probs}
+    def forward_cached(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Probabilities (B, C) for pooled features (B, d)."""
+        h = np.asarray(h, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != self.feature_dim:
+            raise ShapeError(f"head expects (B, {self.feature_dim}), got {h.shape}")
+        probs = sigmoid(h @ self.w.data.T + self.b.data)
+        return probs, {"h": h, "probs": probs}
 
     def backward(self, cache: dict, grad_probs: np.ndarray) -> np.ndarray:
         p = cache["probs"]
         glogits = grad_probs * p * (1.0 - p)
         self.w.grad += glogits.T @ cache["h"]
-        if self.b is not None:
-            self.b.grad += glogits.sum(axis=0)
+        self.b.grad += glogits.sum(axis=0)
         return glogits @ self.w.data
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"head.w": self.w}
-        if self.b is not None:
-            out["head.b"] = self.b
-        return out
+        return {"head.w": self.w, "head.b": self.b}
 
 
 def slices_of(x: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self.counter = 0  # draw calls made, for bookkeeping only
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
@@ -44,24 +43,17 @@ class RngStream:
         ``root.child("augment", epoch, sample_id)``."""
         return RngStream(self.seed, _mix(self.stream_id, *labels))
 
-    # Draw helpers. Each bumps the call counter once.
-
     def uniform(self, low=0.0, high=1.0, size=None):
-        self.counter += 1
         return self._gen.uniform(low, high, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        self.counter += 1
         return self._gen.normal(loc, scale, size)
 
     def integers(self, low, high=None, size=None):
-        self.counter += 1
         return self._gen.integers(low, high, size)
 
     def bernoulli(self, p, size=None):
-        self.counter += 1
         return self._gen.uniform(0.0, 1.0, size) < p
 
     def permutation(self, n: int) -> np.ndarray:
-        self.counter += 1
         return self._gen.permutation(n)

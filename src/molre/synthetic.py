@@ -224,10 +224,6 @@ def sample_label_matrix(n: int, cfg: SynthConfig, seed: int) -> np.ndarray:
     return out
 
 
-def synth_dataset(n: int, cfg: SynthConfig, seed: int) -> list[VolumeSample]:
-    return [synth_sample(i, cfg, seed) for i in range(n)]
-
-
 class SyntheticDataset:
     """Lazy dataset over synth samples [0, n): labels precomputed, voxels
     rendered on demand."""

@@ -1,9 +1,11 @@
-"""Dense float64 tensors, the handful of differentiable primitives the rest
-of the package composes, and a finite-difference gradient oracle.
+"""The parameter holder, the two nonlinearities the layers share, and a
+finite-difference gradient oracle.
 
 There is no general autodiff tape here: the model graphs in this package are
 fixed and shallow, so every layer implements its own backward pass with plain
-numpy and the `softmax_backward` companion below. All math is 64-bit.
+numpy and the `softmax_backward` companion below. Layers pass plain float64
+ndarrays to one another; `Tensor` only pairs a parameter with its gradient.
+All math is 64-bit.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ class OracleError(RuntimeError):
 
 
 class Tensor:
-    """A dense float64 array with an optional gradient buffer.
+    """A parameter: a dense float64 array with an optional gradient buffer.
 
     `data` is always a C-contiguous float64 ndarray. `grad`, when allocated,
     has the same shape and is where backward passes accumulate; it stays
-    ``None`` for frozen parameters and plain activations.
+    ``None`` for frozen parameters.
     """
 
     __slots__ = ("data", "grad")
@@ -47,10 +49,6 @@ class Tensor:
         return self.data.size
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def requires_grad(self) -> bool:
         return self.grad is not None
 
@@ -62,48 +60,38 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_array(x) -> np.ndarray:
-    """Accept a Tensor or anything numpy can view as float64."""
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
 
 # ---------------------------------------------------------------------------
 # Forward primitives
 # ---------------------------------------------------------------------------
 
-def softmax(x, axis: int = -1) -> Tensor:
+def softmax(x, axis: int = -1) -> np.ndarray:
     """Softmax along `axis`, computed with max-subtraction for stability."""
-    xv = _as_array(x)
+    xv = np.asarray(x, dtype=np.float64)
     if xv.shape[axis] < 1:
         raise ShapeError(f"softmax: empty axis {axis} in shape {xv.shape}")
     shifted = xv - xv.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return Tensor(e / e.sum(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax_backward(grad_out: np.ndarray, out, axis: int = -1) -> np.ndarray:
     """Jacobian-vector product of softmax given its output."""
-    y = _as_array(out)
+    y = np.asarray(out, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     dot = (g * y).sum(axis=axis, keepdims=True)
     return y * (g - dot)
 
 
-def sigmoid(x) -> Tensor:
+def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function with the overflow-free two-branch form."""
-    xv = _as_array(x)
+    xv = np.asarray(x, dtype=np.float64)
     out = np.empty_like(xv)
     pos = xv >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
     e = np.exp(xv[~pos])
     out[~pos] = e / (1.0 + e)
-    return Tensor(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +104,12 @@ def finite_diff_grad(
     """Central-difference gradient of a scalar function, one coordinate at a time.
 
     Used by the test suite as the independent oracle for every analytic
-    backward pass. `f` must be deterministic and finite near `x`.
+    backward pass. `f` must be deterministic and finite near `x`; it gets
+    each perturbed point as a `Tensor`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    xv = _as_array(x).copy()
+    xv = np.array(x, dtype=np.float64)
     grad = np.zeros_like(xv)
     flat = xv.ravel()
     gflat = grad.ravel()

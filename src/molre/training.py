@@ -40,6 +40,9 @@ MODEL_KEYS = (
     "num_classes", "in_channels", "stub_seed", "stub_channels",
 )
 
+# studies per forward call in `predict_probs`
+_PREDICT_BATCH = 64
+
 
 class NumericalAbort(RuntimeError):
     """Raised when a loss or gradient goes non-finite; the message names the
@@ -130,12 +133,12 @@ def trunk_cache(model, dataset) -> np.ndarray:
     return np.stack(feats)
 
 
-def predict_probs(model, dataset, cache: np.ndarray | None = None, batch_size: int = 64) -> np.ndarray:
+def predict_probs(model, dataset, cache: np.ndarray | None = None) -> np.ndarray:
     """Deterministic forward over a dataset, (N, C) probabilities."""
     z = trunk_cache(model, dataset) if cache is None else cache
     out = []
-    for lo in range(0, len(dataset), batch_size):
-        probs, _ = model.forward_trunk_cached(z[lo:lo + batch_size])
+    for lo in range(0, len(dataset), _PREDICT_BATCH):
+        probs, _ = model.forward_trunk_cached(z[lo:lo + _PREDICT_BATCH])
         out.append(probs)
     return np.concatenate(out, axis=0)
 

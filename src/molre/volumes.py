@@ -112,21 +112,3 @@ class DiskDataset:
         return read_volume(
             self.root / row["file"], row["id"], row["labels"], row.get("stream", 0)
         )
-
-
-class InMemoryDataset:
-    """Dataset over already-materialized samples (tests, small runs)."""
-
-    def __init__(self, samples: list[VolumeSample]):
-        if not samples:
-            raise DataError("empty dataset")
-        self.samples = samples
-        self.labels = np.stack([s.labels for s in samples]).astype(np.uint8)
-        self.ids = [s.sample_id for s in samples]
-        self.num_classes = self.labels.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def sample(self, i: int) -> VolumeSample:
-        return self.samples[i]

@@ -101,9 +101,9 @@ def test_c03_gradient_suite_finite_differences():
         gout = rng.normal(size=(b, c))
 
         def fwd() -> float:
-            f = layer.forward(z).data + lora.delta(z)
-            h = pooler.forward(f.reshape(b, s, dm)).data
-            return float((gout * head.forward(h).data).sum())
+            f = layer.forward_cached(z)[0] + lora.delta(z)
+            h = pooler.forward_cached(f.reshape(b, s, dm))[0]
+            return float((gout * head.forward_cached(h)[0]).sum())
 
         for t in params.values():
             t.zero_grad()
@@ -151,17 +151,17 @@ def test_c04_single_expert_matches_lora_forward():
         adapter.B.data[...] = rng.normal(size=(d_out, r))
         w0 = Tensor(rng.normal(size=(d_out, d_in)))
 
-        bank = ExpertBank(1, d_in, d_out, r)
+        bank = ExpertBank(1, d_in, d_out, r, alpha)
         bank.A.data[:r] = adapter.A.data     # expert 0: rows 0:r of the stacked A
         bank.B.data[:, :r] = adapter.B.data  # ... and columns 0:r of the stacked B
         router = Router(d_in, 1, 4)
         router.W1.data[...] = rng.normal(size=router.W1.shape)
-        layer = MolreLayer(w0, bank, router, expert_scale=None, alpha=alpha)
+        layer = MolreLayer(w0, bank, router)
 
         x = rng.normal(size=(n, d_in))
         # the plain adapter in closed form, x W0^T + (alpha/r) (x A^T) B^T
         lora = x @ w0.data.T + (alpha / r) * ((x @ adapter.A.data.T) @ adapter.B.data.T)
-        diff = np.abs(layer.forward(x).data - lora).max()
+        diff = np.abs(layer.forward_cached(x)[0] - lora).max()
         worst = max(worst, diff)
         assert diff <= 1e-12, f"K=1 deviates from the plain adapter by {diff:.2e}"
     print(f"100 instances, worst |diff| {worst:.2e}")
@@ -207,7 +207,7 @@ def test_c06_gate_simplex():
         for t in router.parameters().values():
             t.data[...] = rng.normal(0, scale, t.data.shape)
         n = int(rng.integers(1, 512))
-        gates = router.forward(rng.normal(0, 3, size=(n, d))).data
+        gates = router.forward_cached(rng.normal(0, 3, size=(n, d)))[0]
         rows += n
         min_gate = min(min_gate, gates.min())
         worst_sum = max(worst_sum, np.abs(gates.sum(axis=1) - 1.0).max())

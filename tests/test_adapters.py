@@ -121,7 +121,7 @@ def test_router_rows_on_simplex():
     r = Router(10, 6, hidden=16)
     r.init(RngStream(4))
     x = _rand((500, 10), 11) * 3
-    gates = r.forward(x).data
+    gates = r.forward_cached(x)[0]
     assert (gates >= 0).all()
     assert np.abs(gates.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -133,7 +133,7 @@ def test_router_matches_manual_mlp():
     hid = np.maximum(x @ r.W1.data.T + r.b1.data, 0.0)
     logits = hid @ r.W2.data.T + r.b2.data
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    assert np.allclose(r.forward(x).data, e / e.sum(axis=1, keepdims=True), atol=1e-15)
+    assert np.allclose(r.forward_cached(x)[0], e / e.sum(axis=1, keepdims=True), atol=1e-15)
 
 
 def test_router_backward_matches_finite_diff():
@@ -149,7 +149,7 @@ def test_router_backward_matches_finite_diff():
         def loss(mat, _t=t):
             saved = _t.data.copy()
             _t.data[...] = mat.data
-            val = float((g * r.forward(x).data).sum())
+            val = float((g * r.forward_cached(x)[0]).sum())
             _t.data[...] = saved
             return val
         num = finite_diff_grad(loss, t.data.copy())
@@ -159,18 +159,17 @@ def test_router_backward_matches_finite_diff():
 def test_router_rejects_wrong_width():
     r = Router(4, 3)
     with pytest.raises(ShapeError):
-        r.forward(np.zeros((2, 5)))
+        r.forward_cached(np.zeros((2, 5)))
 
 
 # -- mixture layer ----------------------------------------------------------
 
 
-def _make_layer(d_in=6, d_out=4, k=3, rank=2, hidden=5, seed=0, scale=None):
+def _make_layer(d_in=6, d_out=4, k=3, rank=2, hidden=5, seed=0):
     layer = MolreLayer(
         Tensor(_rand((d_out, d_in), seed + 100)),
         ExpertBank(k, d_in, d_out, rank),
         Router(d_in, k, hidden),
-        expert_scale=scale,
     )
     layer.init(RngStream(seed))
     return layer
@@ -179,7 +178,7 @@ def _make_layer(d_in=6, d_out=4, k=3, rank=2, hidden=5, seed=0, scale=None):
 def test_mixture_fresh_layer_equals_w0():
     layer = _make_layer()
     x = _rand((5, 6), 15)
-    assert np.array_equal(layer.forward(x).data, x @ layer.w0.data.T)
+    assert np.array_equal(layer.forward_cached(x)[0], x @ layer.w0.data.T)
 
 
 def test_mixture_matches_dense_reference():
@@ -187,19 +186,19 @@ def test_mixture_matches_dense_reference():
     for i in range(3):
         layer.bank.B.data[:, 2 * i:2 * i + 2] = _rand((4, 2), 20 + i) * 0.5
     x = _rand((7, 6), 16)
-    gates = layer.router.forward(x).data
+    gates = layer.router.forward_cached(x)[0]
     want = x @ layer.w0.data.T
     for i in range(3):
         a_i = layer.bank.A.data[2 * i:2 * i + 2]
         b_i = layer.bank.B.data[:, 2 * i:2 * i + 2]
-        want += layer.expert_scale * gates[:, i:i + 1] * ((x @ a_i.T) @ b_i.T)
-    assert np.allclose(layer.forward(x).data, want, atol=1e-12)
+        want += layer.bank.scaling * gates[:, i:i + 1] * ((x @ a_i.T) @ b_i.T)
+    assert np.allclose(layer.forward_cached(x)[0], want, atol=1e-12)
 
 
 def test_mixture_k1_equals_lora_forward():
     # one expert, scale alpha/rank, identical weights => identical outputs
     rng = np.random.default_rng(17)
-    layer = _make_layer(k=1, scale=None)
+    layer = _make_layer(k=1)
     ad = LoraAdapter(6, 4, rank=2, alpha=16.0)
     ad.A.data[...] = layer.bank.A.data[:2]
     b = rng.normal(size=(4, 2))
@@ -207,13 +206,13 @@ def test_mixture_k1_equals_lora_forward():
     layer.bank.B.data[:, :2] = b
     x = rng.normal(size=(9, 6))
     assert np.allclose(
-        layer.forward(x).data, x @ layer.w0.data.T + ad.delta(x), atol=1e-12
+        layer.forward_cached(x)[0], x @ layer.w0.data.T + ad.delta(x), atol=1e-12
     )
 
 
 def test_mixture_default_scale():
     layer = _make_layer(rank=2)
-    assert layer.expert_scale == 16.0 / 2
+    assert layer.bank.scaling == 16.0 / 2
 
 
 def test_mixture_shape_validation():
@@ -223,14 +222,7 @@ def test_mixture_shape_validation():
         MolreLayer(Tensor(np.zeros((4, 6))), ExpertBank(2, 6, 4, 2), Router(6, 3, 5))
     layer = _make_layer()
     with pytest.raises(ShapeError):
-        layer.forward(np.zeros((2, 7)))
-
-
-def test_mixture_identity_base():
-    layer = MolreLayer.identity(5, 3, rank=2, router_hidden=4)
-    layer.init(RngStream(8))
-    x = _rand((4, 5), 18)
-    assert np.array_equal(layer.forward(x).data, x)
+        layer.forward_cached(np.zeros((2, 7)))
 
 
 def test_mixture_w0_stays_frozen():
@@ -255,7 +247,7 @@ def test_mixture_backward_matches_finite_diff():
         def loss(mat, _t=t):
             saved = _t.data.copy()
             _t.data[...] = mat.data
-            val = float((g * layer.forward(x).data).sum())
+            val = float((g * layer.forward_cached(x)[0]).sum())
             _t.data[...] = saved
             return val
         num = finite_diff_grad(loss, t.data.copy())
@@ -277,7 +269,7 @@ def test_stacked_bank_matches_per_expert_loop(k):
     layer.backward(cache, g)
 
     # reference: one (A_i, B_i) pair at a time, each a block of the stacked bank
-    s = layer.expert_scale
+    s = layer.bank.scaling
     gates, rcache = layer.router.forward_cached(x)
     want = x @ layer.w0.data.T
     want_ga = np.empty_like(layer.bank.A.data)

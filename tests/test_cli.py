@@ -60,6 +60,19 @@ def test_missing_subcommand_exits_config():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    ["stub_channels="],
+    ["stub_channels=4,0,4"],
+    ["stub_channels=4,4,4", "rank=8"],  # rank above the trunk width the adapters read
+])
+def test_count_params_rejects_stub_channels_the_trunk_cannot_build(capsys, overrides):
+    sets = [arg for ov in overrides for arg in ("--set", ov)]
+    assert main(["count-params", *sets]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "stub_channels" in err
+    assert "Traceback" not in err
+
+
 # -- synth ----------------------------------------------------------------
 
 
@@ -164,6 +177,24 @@ def test_eval_rejects_checkpoint_that_does_not_match_the_run(tmp_path, capsys, o
     assert err.startswith("data error:") and f"this run has {key}=" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev").exists()
+
+
+def test_in_channels_other_than_the_windows_exits_config(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["train", *TINY, "--set", f"data_dir={data_dir}", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    # a missing data_dir would be a data error (3): the check comes first
+    code = main(["train", *TINY, "--set", "in_channels=2",
+                 "--set", f"data_dir={tmp_path / 'nowhere'}", "--out", str(tmp_path / "r2")])
+    assert code == 2
+    code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--split", "test",
+                 "--set", "in_channels=2", "--set", f"data_dir={tmp_path / 'nowhere'}",
+                 "--out", str(tmp_path / "ev")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: in_channels=2") == 2 and "Traceback" not in err
+    assert not (tmp_path / "r2").exists() and not (tmp_path / "ev").exists()
 
 
 def test_numerical_abort_exits_4(monkeypatch, tmp_path):

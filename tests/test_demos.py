@@ -12,3 +12,10 @@ def test_adapter_basics_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "transparent at init: True" in out
     assert "K=1 vs plain adapter, max |diff|: 0.00e+00" in out
+
+
+def test_synthetic_volumes_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "02_synthetic_volumes.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "sample 17 reproducible: True" in out
+    assert out.count("in [0, 1]: True") == 3

@@ -78,9 +78,9 @@ def test_backward_through_sigmoid_matches_finite_diff():
     z = rng.normal(size=(4, 6))
     y = (rng.uniform(size=(4, 6)) < 0.5).astype(float)
     cfg = FocalLossConfig(gamma=2.0, class_weights=0.75)
-    p = sigmoid(z).data
+    p = sigmoid(z)
     gz = focal_loss_backward(p, y, cfg) * p * (1 - p)
-    num = finite_diff_grad(lambda t: focal_loss(sigmoid(t.data).data, y, cfg), z)
+    num = finite_diff_grad(lambda t: focal_loss(sigmoid(t.data), y, cfg), z)
     assert np.abs(gz - num).max() < 1e-7
 
 

@@ -129,9 +129,9 @@ def test_write_report_files(tmp_path):
     probs = np.array([[0.9, 0.2], [0.1, 0.8], [0.6, 0.4]])
     y = np.array([[1, 0], [0, 1], [1, 0]])
     rep = evaluate(probs, y, param_table=param_report(SliceModel("lora")))
-    write_report(rep, tmp_path, class_names=["alpha", "beta"])
+    write_report(rep, tmp_path)
     txt = (tmp_path / "report.txt").read_text()
-    assert "alpha" in txt and "mean" in txt
+    assert "class_01" in txt and "mean" in txt
     blob = json.loads((tmp_path / "report.json").read_text())
     assert blob["mean_auc"] == rep.mean_auc
     assert blob["n_pos"] == [2, 1]

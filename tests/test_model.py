@@ -119,7 +119,7 @@ def test_volume_model_forward_and_groups():
     assert set(groups["adapter"]) == set(m.molre.parameters())
 
     # mixture is transparent at init: same probs as the frozen stub alone
-    bare = m.head.forward(m.stub.project(m.stub.trunk(x))).data
+    bare = m.head.forward_cached(m.stub.project(m.stub.trunk(x)))[0]
     assert np.array_equal(bare, probs)
 
 

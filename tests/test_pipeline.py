@@ -115,7 +115,7 @@ def test_pooler_zero_query_is_exact_mean():
     p = AttentionPooler(6)
     p.init(RngStream(0))
     f = np.random.default_rng(6).normal(size=(3, 5, 6))
-    h = p.forward(f).data
+    h = p.forward_cached(f)[0]
     assert np.allclose(h, f.mean(axis=1), atol=1e-15)
 
 
@@ -142,12 +142,12 @@ def test_pooler_backward_matches_finite_diff():
     def loss_q(t):
         saved = p.q.data.copy()
         p.q.data[...] = t.data
-        val = float((g * p.forward(f).data).sum())
+        val = float((g * p.forward_cached(f)[0]).sum())
         p.q.data[...] = saved
         return val
 
     nq = finite_diff_grad(loss_q, p.q.data.copy())
-    nf = finite_diff_grad(lambda t: float((g * p.forward(t.data.reshape(2, 3, 4)).data).sum()),
+    nf = finite_diff_grad(lambda t: float((g * p.forward_cached(t.data.reshape(2, 3, 4))[0]).sum()),
                           f.ravel()).reshape(2, 3, 4)
     assert np.allclose(p.q.grad, nq, atol=1e-7)
     assert np.allclose(gf, nf, atol=1e-7)
@@ -156,9 +156,9 @@ def test_pooler_backward_matches_finite_diff():
 def test_pooler_shape_validation():
     p = AttentionPooler(4)
     with pytest.raises(ShapeError):
-        p.forward(np.zeros((2, 3, 5)))
+        p.forward_cached(np.zeros((2, 3, 5)))
     with pytest.raises(ShapeError):
-        p.forward(np.zeros((2, 0, 4)))
+        p.forward_cached(np.zeros((2, 0, 4)))
 
 
 # -- head ------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_pooler_shape_validation():
 def test_head_zero_init_gives_half_probs():
     head = ClassifierHead(8, 3)
     head.init(RngStream(1))
-    probs = head.forward(np.random.default_rng(10).normal(size=(4, 8))).data
+    probs = head.forward_cached(np.random.default_rng(10).normal(size=(4, 8)))[0]
     assert np.all(probs == 0.5)
 
 
@@ -176,16 +176,8 @@ def test_head_matches_sigmoid_formula():
     head.w.data[...] = np.random.default_rng(11).normal(size=(2, 4))
     head.b.data[...] = [0.3, -0.2]
     h = np.random.default_rng(12).normal(size=(3, 4))
-    want = sigmoid(h @ head.w.data.T + head.b.data).data
-    assert np.array_equal(head.forward(h).data, want)
-
-
-def test_head_without_bias():
-    head = ClassifierHead(4, 2, bias=False)
-    assert head.b is None
-    assert set(head.parameters()) == {"head.w"}
-    head.w.data[...] = 1.0
-    assert head.forward(np.zeros((1, 4))).data[0, 0] == 0.5
+    want = sigmoid(h @ head.w.data.T + head.b.data)
+    assert np.array_equal(head.forward_cached(h)[0], want)
 
 
 def test_head_backward_matches_finite_diff():
@@ -201,12 +193,12 @@ def test_head_backward_matches_finite_diff():
     def loss_w(t):
         saved = head.w.data.copy()
         head.w.data[...] = t.data
-        val = float((g * head.forward(h).data).sum())
+        val = float((g * head.forward_cached(h)[0]).sum())
         head.w.data[...] = saved
         return val
 
     nw = finite_diff_grad(loss_w, head.w.data.copy())
-    nh = finite_diff_grad(lambda t: float((g * head.forward(t.data.reshape(4, 5)).data).sum()),
+    nh = finite_diff_grad(lambda t: float((g * head.forward_cached(t.data.reshape(4, 5))[0]).sum()),
                           h.ravel()).reshape(4, 5)
     assert np.allclose(head.w.grad, nw, atol=1e-7)
     assert np.allclose(gh, nh, atol=1e-7)
@@ -272,6 +264,6 @@ def test_forward_3d_transparent_at_init():
     m.init_params(RngStream(7))
     x = np.random.default_rng(20).uniform(0, 1, (2, 3, 16, 16, 16))
     with_mix = m.forward(x)
-    without = m.head.forward(m.stub.project(m.stub.trunk(x))).data
+    without = m.head.forward_cached(m.stub.project(m.stub.trunk(x)))[0]
     assert np.array_equal(with_mix, without)
     assert with_mix.shape == (2, 5)

@@ -79,9 +79,3 @@ def test_integers_range():
 def test_uniform_bounds():
     v = RngStream(3).uniform(-2.0, 5.0, 100_000)
     assert v.min() >= -2.0 and v.max() < 5.0
-
-
-def test_counter_tracks_draw_calls():
-    s = RngStream(0)
-    s.uniform(); s.normal(); s.bernoulli(0.5)
-    assert s.counter == 3

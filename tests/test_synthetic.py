@@ -13,7 +13,6 @@ from molre.synthetic import (
     class_archetype,
     class_prevalences,
     sample_label_matrix,
-    synth_dataset,
     synth_sample,
 )
 from molre.volumes import DataError
@@ -120,12 +119,6 @@ def test_family_hu_signs():
         delta = (pos - neg)[np.abs(pos - neg) > 1e-9]
         assert delta.size > 0
         assert np.sign(np.median(delta)) == sign, f"class {c}"
-
-
-def test_synth_dataset_list():
-    ds = synth_dataset(3, CFG, seed=1)
-    assert len(ds) == 3
-    assert ds[2].sample_id == "synth-1-00002"
 
 
 def test_synthetic_dataset_lazy_view():

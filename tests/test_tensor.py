@@ -31,15 +31,15 @@ def test_grad_buffer_lifecycle():
 
 def test_softmax_known_values():
     # two equal logits split evenly; a large gap saturates
-    assert np.allclose(softmax([0.0, 0.0]).data, [0.5, 0.5])
-    out = softmax([100.0, 0.0]).data
+    assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5])
+    out = softmax([100.0, 0.0])
     assert out[0] >= 1.0 - 1e-15 and out[1] < 1e-40
-    row = softmax(np.arange(12.0).reshape(3, 4), axis=1).data
+    row = softmax(np.arange(12.0).reshape(3, 4), axis=1)
     assert np.allclose(row.sum(axis=1), 1.0)
 
 
 def test_softmax_overflow_safe():
-    out = softmax([1000.0, 999.0]).data
+    out = softmax([1000.0, 999.0])
     assert np.isfinite(out).all()
     assert abs(out.sum() - 1.0) < 1e-15
 
@@ -48,20 +48,20 @@ def test_softmax_backward_matches_finite_diff():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 7))
     g = rng.normal(size=(5, 7))
-    y = softmax(x, axis=1).data
+    y = softmax(x, axis=1)
     gx = softmax_backward(g, y, axis=1)
-    num = finite_diff_grad(lambda t: float((g * softmax(t.data, axis=1).data).sum()), x)
+    num = finite_diff_grad(lambda t: float((g * softmax(t.data, axis=1)).sum()), x)
     assert np.allclose(gx, num, atol=1e-7)
 
 
 def test_sigmoid_known_values_and_symmetry():
-    assert sigmoid(0.0).data == 0.5
-    assert abs(sigmoid(np.log(3.0)).data - 0.75) < 1e-15
+    assert sigmoid(0.0) == 0.5
+    assert abs(sigmoid(np.log(3.0)) - 0.75) < 1e-15
     x = np.linspace(-30, 30, 101)
-    s = sigmoid(x).data
-    assert np.allclose(s + sigmoid(-x).data, 1.0, atol=1e-15)
+    s = sigmoid(x)
+    assert np.allclose(s + sigmoid(-x), 1.0, atol=1e-15)
     # extreme logits stay finite and inside [0, 1]
-    ext = sigmoid(np.array([-1e4, 1e4])).data
+    ext = sigmoid(np.array([-1e4, 1e4]))
     assert ext[0] == 0.0 and ext[1] == 1.0
 
 

@@ -4,7 +4,6 @@ import pytest
 from molre.volumes import (
     DataError,
     DiskDataset,
-    InMemoryDataset,
     VolumeSample,
     read_manifest,
     read_volume,
@@ -124,13 +123,3 @@ def test_disk_dataset_missing_split(tmp_path):
     _write_dataset(tmp_path)
     with pytest.raises(DataError):
         DiskDataset(tmp_path, "test")
-
-
-def test_in_memory_dataset():
-    samples = [_sample(f"m{i}", seed=i) for i in range(3)]
-    ds = InMemoryDataset(samples)
-    assert len(ds) == 3
-    assert ds.num_classes == 3
-    assert ds.sample(1) is samples[1]
-    with pytest.raises(DataError):
-        InMemoryDataset([])
