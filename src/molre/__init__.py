@@ -54,6 +54,7 @@ from .training import (
     TrainResult,
     build_model,
     predict_probs,
+    stored_features,
     train,
     trunk_cache,
 )

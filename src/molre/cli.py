@@ -6,9 +6,17 @@ parameter accounting.
     molre eval         --checkpoint best.ckpt [--split test] [--out DIR]
     molre count-params [--config c.cfg] [--set k=v ...]
 
-Exit codes: 0 success, 2 config error, 3 data error (missing or malformed
-data or checkpoint, or an evaluation split where no class has both labels),
-4 numerical abort.
+`train` and `eval` read the frozen trunk's features from the dataset's
+feature store (`training.stored_features`): `features-<trunk>-<digest>.ckpt`
+next to `manifest.json`, built by the first command that needs it and
+rebuilt, with one line on stderr, when a `.vol` file changed or the store
+fails its checksums. Deleting the file only costs one rebuild.
+
+Exit codes: 0 success, 2 config error, 3 data error (a missing, malformed
+or corrupt manifest, `.vol` file or checkpoint, a checkpoint of another
+format version or another run, or an evaluation split where no class has
+both labels), 4 numerical abort. Each error is one stderr line with its
+prefix (`config error:`, `data error:`, `numerical abort:`).
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
 from .preprocess import DEFAULT_WINDOWS
 from .synthetic import SynthConfig, class_prevalences, synth_sample
-from .training import NumericalAbort, Trainer, build_model, load_model_params, predict_probs
+from .training import (
+    NumericalAbort,
+    Trainer,
+    build_model,
+    load_model_params,
+    predict_probs,
+    stored_features,
+)
 from .volumes import DataError, DiskDataset, write_manifest, write_volume
 
 EXIT_OK = 0
@@ -112,7 +127,12 @@ def cmd_train(cfg: RunConfig) -> int:
     train_data = DiskDataset(cfg.data_dir, "train")
     val_data = DiskDataset(cfg.data_dir, "val")
     run_dir = Path(cfg.out_dir)
-    trainer = Trainer(cfg, train_data, val_data, run_dir=run_dir)
+    frozen = build_model(cfg)  # every model of cfg has this frozen trunk
+    trainer = Trainer(
+        cfg, train_data, val_data, run_dir=run_dir,
+        train_cache=stored_features(frozen, train_data),
+        val_cache=stored_features(frozen, val_data),
+    )
     result = trainer.train()
     trainer.save_state(run_dir / "last.ckpt")
     print(
@@ -133,7 +153,7 @@ def cmd_eval(args) -> int:
     if not cfg.data_dir:
         raise DataError("checkpoint config has no data_dir; pass --set data_dir=...")
     dataset = DiskDataset(cfg.data_dir, args.split)
-    probs = predict_probs(model, dataset)
+    probs = predict_probs(model, stored_features(model, dataset))
     report = evaluate(probs, dataset.labels, param_report(model))
     out_dir = Path(args.out or cfg.out_dir)
     write_report(report, out_dir)

@@ -16,7 +16,10 @@ checkpoint replays the remaining epochs bitwise.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from .optim import AdamW
 from .preprocess import DEFAULT_WINDOWS, AugmentConfig, augment, hu_window
 from .rng import RngStream
 from .sampling import expand_indices, repeat_factors
+from .volumes import DiskDataset
 
 
 # RunConfig's model block: these fix the tensor shapes, the frozen features
@@ -133,11 +137,60 @@ def trunk_cache(model, dataset) -> np.ndarray:
     return np.stack(feats)
 
 
-def predict_probs(model, dataset, cache: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic forward over a dataset, (N, C) probabilities."""
-    z = trunk_cache(model, dataset) if cache is None else cache
+def stored_features(model, dataset: DiskDataset) -> np.ndarray:
+    """Frozen-trunk features of one split of an on-disk dataset, in its row
+    order, as `trunk_cache` gives them, read from the dataset's feature store.
+
+    The store is `features-<trunk>-<digest>.ckpt` next to manifest.json: the
+    features of every sample in the manifest, in manifest order. Its name
+    holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256 of
+    the trunk's frozen conv parameters and DEFAULT_WINDOWS; the file also
+    records the CRC32 of every .vol file. A missing store is built. One that
+    fails its checksums or was built from other .vol bytes is rebuilt, with
+    one line on stderr; it is never served. If the store cannot be written,
+    the computed features are returned all the same."""
+    everything = DiskDataset(dataset.root)
+    h = hashlib.sha256()
+    for name, t in model.frozen_parameters().items():
+        if name.startswith("backbone.conv"):  # the projection runs after the store
+            h.update(f"{name}{t.data.shape}".encode())
+            h.update(t.data.tobytes())
+    key = {
+        "trunk": f"{len(model.stub.kernel)}d",
+        "stub_sha256": h.hexdigest(),
+        "windows": [[w.lo, w.hi] for w in DEFAULT_WINDOWS],
+    }
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
+    path = everything.root / f"features-{key['trunk']}-{digest}.ckpt"
+    key["vol_crc32"] = [zlib.crc32((everything.root / r["file"]).read_bytes()) for r in everything.rows]
+
+    feats = None
+    if path.exists():
+        try:
+            tensors, sections = load_checkpoint(path)
+        except CheckpointError as e:
+            print(f"feature store rejected ({e}); rebuilding", file=sys.stderr)
+        else:
+            if sections.get("key") == key and "features" in tensors:
+                feats = tensors["features"]
+            else:
+                print(f"feature store {path} was built from other .vol files; rebuilding",
+                      file=sys.stderr)
+    if feats is None:
+        feats = trunk_cache(model, everything)
+        try:
+            save_checkpoint(path, {"features": feats}, {"key": key})
+        except OSError as e:
+            print(f"feature store not written ({e}); using the computed features",
+                  file=sys.stderr)
+    return feats[dataset.index]
+
+
+def predict_probs(model, z: np.ndarray) -> np.ndarray:
+    """Deterministic forward over cached trunk features z, (N, C)
+    probabilities."""
     out = []
-    for lo in range(0, len(dataset), _PREDICT_BATCH):
+    for lo in range(0, len(z), _PREDICT_BATCH):
         probs, _ = model.forward_trunk_cached(z[lo:lo + _PREDICT_BATCH])
         out.append(probs)
     return np.concatenate(out, axis=0)
@@ -252,7 +305,7 @@ class Trainer:
         return float(np.mean(losses)) if losses else 0.0
 
     def validate(self) -> float:
-        probs = predict_probs(self.model, self.val_data, self.val_z)
+        probs = predict_probs(self.model, self.val_z)
         return aggregate(per_class_auc(probs, self.val_data.labels))["mean_auc"]
 
     def _snapshot_best(self) -> None:

@@ -8,12 +8,19 @@ labels, prevalence table) plus one binary file per volume:
 
 Round-trips are bit-exact: voxel values are quantized through f32 at
 generation time, so write -> read -> write reproduces identical bytes.
+
+Every file is written atomically: to a uniquely named temporary file in the
+same directory, then renamed over the target, so a reader never sees half a
+file and two writers of the same file never share a temporary.
+`read_manifest` is the one place the manifest's schema is checked.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +29,11 @@ import numpy as np
 VOLUME_MAGIC = b"MLVX"
 VOLUME_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+_HEADER = struct.Struct("<4sIIIIfff")
+
+# read once, at import: os.umask can only be read by setting it
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 class DataError(RuntimeError):
@@ -49,53 +61,125 @@ class VolumeSample:
             raise DataError(f"sample {self.sample_id}: non-finite voxels")
 
 
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write `data` to `path` through a unique temporary file in the same
+    directory, renamed over `path`; the file gets the umask's permissions."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_volume(path: Path, sample: VolumeSample) -> None:
     s, h, w = sample.voxels.shape
-    header = VOLUME_MAGIC + struct.pack(
-        "<IIIIfff", VOLUME_VERSION, s, h, w, *[float(x) for x in sample.spacing]
+    header = _HEADER.pack(
+        VOLUME_MAGIC, VOLUME_VERSION, s, h, w, *[float(x) for x in sample.spacing]
     )
     payload = np.ascontiguousarray(sample.voxels, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    atomic_write(path, header + payload)
 
 
 def read_volume(path: Path, sample_id: str, labels, stream_id: int = 0) -> VolumeSample:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != VOLUME_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        version, s, h, w, sx, sy, sz = struct.unpack("<IIIIfff", fh.read(28))
+        head = fh.read(_HEADER.size)
+        if head[:4] != VOLUME_MAGIC:
+            raise DataError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) != _HEADER.size:
+            raise DataError(f"{path}: truncated header")
+        _, version, s, h, w, sx, sy, sz = _HEADER.unpack(head)
         if version != VOLUME_VERSION:
             raise DataError(f"{path}: unsupported volume format version {version}")
-        raw = fh.read(4 * s * h * w)
-        if len(raw) != 4 * s * h * w:
+        n = 4 * s * h * w
+        # checked before reading, so a corrupt shape cannot ask for a huge buffer
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + n:
             raise DataError(f"{path}: truncated voxel payload")
+        raw = fh.read(n)
     voxels = np.frombuffer(raw, dtype="<f4").reshape(s, h, w).astype(np.float64)
     return VolumeSample(sample_id, voxels, (sx, sy, sz), labels, stream_id)
 
 
 def write_manifest(root: Path, manifest: dict) -> None:
-    with open(Path(root) / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    doc = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    atomic_write(Path(root) / MANIFEST_NAME, doc.encode("utf-8"))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_key(where: str, doc: dict, key: str, ok, what: str) -> None:
+    if key not in doc:
+        raise DataError(f"{where}: missing key {key!r}")
+    if not ok(doc[key]):
+        raise DataError(f"{where}: {key!r} must be {what}, got {doc[key]!r:.40}")
+
+
+# (key, check, what the check wants) for the manifest and for each sample
+_MANIFEST_KEYS = (
+    ("num_classes", lambda v: _is_int(v) and v >= 1, "a positive int"),
+    ("samples", lambda v: isinstance(v, list), "a list"),
+)
+_SAMPLE_KEYS = (
+    ("id", lambda v: isinstance(v, str), "a string"),
+    ("file", lambda v: isinstance(v, str) and v != "", "a file name"),
+    ("split", lambda v: isinstance(v, str), "a string"),
+    ("labels", lambda v: isinstance(v, list) and all(_is_int(x) and x in (0, 1) for x in v),
+     "a list of 0/1 ints"),
+)
 
 
 def read_manifest(root: Path) -> dict:
+    """The manifest of the dataset at `root`, schema-checked: a JSON object
+    with a positive int `num_classes` and a `samples` list whose entries each
+    have a string `id`, `file` and `split`, `num_classes` 0/1 `labels` and
+    an optional int `stream`. Raises DataError naming the key and sample."""
     path = Path(root) / MANIFEST_NAME
     if not path.exists():
         raise DataError(f"no manifest at {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: top level must be an object, got {type(manifest).__name__}")
+    for key, ok, what in _MANIFEST_KEYS:
+        _check_key(str(path), manifest, key, ok, what)
+    num_classes = manifest["num_classes"]
+    for i, row in enumerate(manifest["samples"]):
+        where = f"{path}: sample {i}"
+        if not isinstance(row, dict):
+            raise DataError(f"{where} must be an object, got {type(row).__name__}")
+        if isinstance(row.get("id"), str):
+            where += f" ({row['id']!r})"
+        for key, ok, what in _SAMPLE_KEYS:
+            _check_key(where, row, key, ok, what)
+        if len(row["labels"]) != num_classes:
+            raise DataError(
+                f"{where}: 'labels' has {len(row['labels'])} entries, num_classes is {num_classes}"
+            )
+        if "stream" in row:
+            _check_key(where, row, "stream", _is_int, "an int")
+    return manifest
 
 
 class DiskDataset:
-    """Lazy view over one split of an on-disk dataset."""
+    """Lazy view over one split of an on-disk dataset, or over every sample
+    in manifest order when `split` is None. `index` holds each row's
+    position in the manifest."""
 
-    def __init__(self, root: Path, split: str):
+    def __init__(self, root: Path, split: str | None = None):
         self.root = Path(root)
         manifest = read_manifest(self.root)
-        rows = [r for r in manifest["samples"] if r["split"] == split]
+        self.index = [
+            i for i, r in enumerate(manifest["samples"]) if split is None or r["split"] == split
+        ]
+        rows = [manifest["samples"][i] for i in self.index]
         if not rows:
             raise DataError(f"split {split!r} not present in {self.root}")
         self.split = split

@@ -395,7 +395,7 @@ def test_c11_directional_end_to_end():
             cfg = RunConfig(mode=mode, seed=seed)
             trainer = Trainer(cfg, tr, va, train_cache=z[sl_tr], val_cache=z[sl_va])
             trainer.train()
-            probs = predict_probs(trainer.model, te, z[sl_te])
+            probs = predict_probs(trainer.model, z[sl_te])
             aucs.append(aggregate(per_class_auc(probs, te.labels))["mean_auc"])
         means[mode] = float(np.mean(aucs))
 

@@ -74,13 +74,13 @@ def test_bad_magic(tmp_path):
 
 def test_bad_version(tmp_path):
     p = tmp_path / "x.ckpt"
-    # version 1 stored one experts.{i}.A/B pair per expert
-    for version in (1, 42):
+    # version 1 stored one experts.{i}.A/B pair per expert; version 2 had no CRC32
+    for version in (1, 2, 42):
         save_checkpoint(p, _tensors())
         raw = bytearray(p.read_bytes())
         raw[4:8] = version.to_bytes(4, "little")
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=f"format version {version}, this build reads 2"):
+        with pytest.raises(CheckpointError, match=f"format version {version}, this build reads 3"):
             load_checkpoint(p)
 
 
@@ -99,3 +99,57 @@ def test_empty_checkpoint_roundtrip(tmp_path):
     save_checkpoint(p, {})
     t, s = load_checkpoint(p)
     assert t == {} and s == {}
+
+
+def test_flipped_bit_names_the_record(tmp_path):
+    p = tmp_path / "x.ckpt"
+    t = _tensors()
+    save_checkpoint(p, t, {"config": {"mode": "lora"}})
+    raw = bytearray(p.read_bytes())
+    # the middle of head.w's payload: the file is the records in name order
+    at = raw.index(b"head.w") + len("head.w") + 1 + 16 + 8 * 12 * 16
+    raw[at] ^= 0x10
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="record 'head.w' fails its CRC32 check"):
+        load_checkpoint(p)
+
+
+def test_every_single_bit_flip_is_caught(tmp_path):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(p, {"w": np.arange(3.0), "s": np.float64(2.0)}, {"config": {"k": [1, 2]}})
+    good = p.read_bytes()
+    for bit in range(8 * len(good)):
+        raw = bytearray(good)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(p, _tensors())
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="1 bytes after the last record"):
+        load_checkpoint(p)
+
+
+def test_writers_of_one_file_use_their_own_temporaries(tmp_path, monkeypatch):
+    # a second save of the same path while the first is mid-write: with one
+    # fixed temporary name the first rename would find its file gone
+    import molre.volumes as volumes
+
+    p = tmp_path / "x.ckpt"
+    real_replace = volumes.os.replace
+    nested = []
+
+    def replace(src, dst):
+        if not nested:
+            nested.append(src)
+            save_checkpoint(p, {"b": np.ones(2)})
+        real_replace(src, dst)
+
+    monkeypatch.setattr(volumes.os, "replace", replace)
+    save_checkpoint(p, {"a": np.zeros(2)})
+    assert set(load_checkpoint(p)[0]) == {"a"}
+    assert [f.name for f in tmp_path.iterdir()] == ["x.ckpt"]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -224,3 +225,101 @@ def test_eval_respects_split_override(tmp_path):
     assert report["n_pos"] == val_labels.sum(axis=0).tolist()
     # seed 7 happens to leave class 1 one-sided in this val split
     assert report["per_class_auc"][1] is None
+
+
+# -- bad inputs: one contract ---------------------------------------------------
+
+
+def _manifest(text):
+    def corrupt(data_dir, ckpt):
+        (data_dir / "manifest.json").write_text(text)
+    return corrupt
+
+
+def _edit_manifest(edit):
+    def corrupt(data_dir, ckpt):
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _truncate_vol(data_dir, ckpt):
+    vol = data_dir / json.loads((data_dir / "manifest.json").read_text())["samples"][-1]["file"]
+    vol.write_bytes(vol.read_bytes()[:-100])
+
+
+def _edit_ckpt(edit):
+    def corrupt(data_dir, ckpt):
+        raw = bytearray(ckpt.read_bytes())
+        edit(raw)
+        ckpt.write_bytes(bytes(raw))
+    return corrupt
+
+
+def _flip_middle_bit(raw):
+    raw[len(raw) // 2] ^= 0x01
+
+
+def _overwrite_near_start(raw):
+    raw[40:50] = b"\xff" * 10
+
+
+def _as_version_2(raw):
+    raw[4:8] = (2).to_bytes(4, "little")
+
+
+def _truncate(raw):
+    del raw[len(raw) // 2:]
+
+
+BAD_INPUTS = [
+    # (case, command, corruption, what the message must say)
+    ("manifest-invalid-json", "eval", _manifest("{not json"), "not valid JSON"),
+    ("manifest-no-samples", "eval", _edit_manifest(lambda m: m.pop("samples")),
+     "missing key 'samples'"),
+    ("manifest-sample-without-file", "eval",
+     _edit_manifest(lambda m: m["samples"][0].pop("file")), "sample 0 ('synth-7-00000'): missing key 'file'"),
+    ("manifest-ragged-labels", "eval",
+     _edit_manifest(lambda m: m["samples"][5]["labels"].pop()), "sample 5 ('synth-7-00005'): 'labels' has 2"),
+    ("manifest-top-level-list", "eval", _manifest("[]"), "top level must be an object, got list"),
+    ("manifest-sample-without-file-train", "train",
+     _edit_manifest(lambda m: m["samples"][3].pop("file")), "missing key 'file'"),
+    ("vol-truncated", "eval", _truncate_vol, "truncated voxel payload"),
+    ("vol-truncated-train", "train", _truncate_vol, "truncated voxel payload"),
+    ("ckpt-truncated", "eval", _edit_ckpt(_truncate), "(truncated or corrupt checkpoint)"),
+    ("ckpt-bit-flipped", "eval", _edit_ckpt(_flip_middle_bit), "fails its CRC32 check"),
+    ("ckpt-overwritten-near-start", "eval", _edit_ckpt(_overwrite_near_start),
+     "'best.experts.A' runs past the end"),
+    ("ckpt-version-2", "eval", _edit_ckpt(_as_version_2), "format version 2, this build reads 3"),
+]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny dataset, its feature store and one trained checkpoint."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["synth", *TINY, "--out", str(root / "data")]) == 0
+    assert main(["train", *TINY, "--set", f"data_dir={root / 'data'}", "--out", str(root / "run")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("case, command, corrupt, says", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exits_data_error(trained, tmp_path, capsys, case, command, corrupt, says):
+    data_dir, ckpt = tmp_path / "data", tmp_path / "best.ckpt"
+    shutil.copytree(trained / "data", data_dir)
+    shutil.copy(trained / "run" / "best.ckpt", ckpt)
+    corrupt(data_dir, ckpt)
+    capsys.readouterr()
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(ckpt), "--set", f"data_dir={data_dir}"]
+    else:
+        argv = ["train", *TINY, "--set", f"data_dir={data_dir}"]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    # a changed .vol file is first noticed by the feature store, on its own line
+    last = err.splitlines()[-1]
+    assert last.startswith("data error:") and says in last, err
+    assert "Traceback" not in err

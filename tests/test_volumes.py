@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,44 @@ def test_disk_dataset_missing_split(tmp_path):
     _write_dataset(tmp_path)
     with pytest.raises(DataError):
         DiskDataset(tmp_path, "test")
+
+
+def test_read_rejects_truncated_header(tmp_path):
+    p = tmp_path / "v.mlvx"
+    write_volume(p, _sample())
+    p.write_bytes(p.read_bytes()[:10])
+    with pytest.raises(DataError, match="truncated header"):
+        read_volume(p, "x", np.zeros(1))
+
+
+def test_writes_leave_no_temporary_behind(tmp_path):
+    _write_dataset(tmp_path, n=2)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "s000.mlvx", "s001.mlvx"]
+
+
+@pytest.mark.parametrize("edit, says", [
+    (lambda m: m.pop("num_classes"), "missing key 'num_classes'"),
+    (lambda m: m.update(samples={}), "'samples' must be a list"),
+    (lambda m: m["samples"].append(3), "sample 4 must be an object, got int"),
+    (lambda m: m["samples"][1].pop("split"), "sample 1 ('s001'): missing key 'split'"),
+    (lambda m: m["samples"][2].update(labels=[1, 0, 2]), "sample 2 ('s002'): 'labels' must be a list of 0/1"),
+    (lambda m: m["samples"][0].update(labels=[1, 0, 1, 0]), "'labels' has 4 entries, num_classes is 3"),
+    (lambda m: m["samples"][0].update(stream="7"), "sample 0 ('s000'): 'stream' must be an int"),
+    (lambda m: m["samples"][0].update(id=5), "sample 0: 'id' must be a string"),
+])
+def test_read_manifest_names_the_bad_key_and_sample(tmp_path, edit, says):
+    _write_dataset(tmp_path)
+    manifest = read_manifest(tmp_path)
+    edit(manifest)
+    write_manifest(tmp_path, manifest)
+    with pytest.raises(DataError, match=re.escape(says)):
+        read_manifest(tmp_path)
+    with pytest.raises(DataError, match=re.escape(says)):
+        DiskDataset(tmp_path, "train")
+
+
+def test_disk_dataset_without_split_is_every_sample(tmp_path):
+    rows = _write_dataset(tmp_path, n=5)
+    every = DiskDataset(tmp_path)
+    assert every.ids == [r["id"] for r in rows] and every.index == [0, 1, 2, 3, 4]
+    assert DiskDataset(tmp_path, "val").index == [4]
