@@ -52,7 +52,7 @@ if not (DATA_DIR / MANIFEST_NAME).exists():
 test_data = DiskDataset(DATA_DIR, "test")
 
 had_store = sorted(p.name for p in DATA_DIR.glob("features-*.ckpt"))
-z = stored_features(model, test_data)
+z = stored_features(model, DATA_DIR)[test_data.index]
 (store,) = DATA_DIR.glob("features-*.ckpt")
 print(f"trunk features of {len(test_data)} test studies "
       f"{'read from' if had_store else 'computed and saved to'} {store.name}")

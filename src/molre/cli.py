@@ -9,8 +9,9 @@ parameter accounting.
 `train` and `eval` read the frozen trunk's features from the dataset's
 feature store (`training.stored_features`): `features-<trunk>-<digest>.ckpt`
 next to `manifest.json`, built by the first command that needs it and
-rebuilt, with one line on stderr, when a `.vol` file changed or the store
-fails its checksums. Deleting the file only costs one rebuild.
+rebuilt, with one line on stderr, when a `.vol` file or the trunk's code
+changed or the store fails its checksums. Deleting the file only costs one
+rebuild.
 
 Exit codes: 0 success, 2 config error, 3 data error (a missing, malformed
 or corrupt manifest, `.vol` file or checkpoint, a checkpoint of another
@@ -127,11 +128,11 @@ def cmd_train(cfg: RunConfig) -> int:
     train_data = DiskDataset(cfg.data_dir, "train")
     val_data = DiskDataset(cfg.data_dir, "val")
     run_dir = Path(cfg.out_dir)
-    frozen = build_model(cfg)  # every model of cfg has this frozen trunk
+    # every model of cfg has the frozen trunk of build_model(cfg)
+    feats = stored_features(build_model(cfg), cfg.data_dir)
     trainer = Trainer(
         cfg, train_data, val_data, run_dir=run_dir,
-        train_cache=stored_features(frozen, train_data),
-        val_cache=stored_features(frozen, val_data),
+        train_cache=feats[train_data.index], val_cache=feats[val_data.index],
     )
     result = trainer.train()
     trainer.save_state(run_dir / "last.ckpt")
@@ -153,7 +154,7 @@ def cmd_eval(args) -> int:
     if not cfg.data_dir:
         raise DataError("checkpoint config has no data_dir; pass --set data_dir=...")
     dataset = DiskDataset(cfg.data_dir, args.split)
-    probs = predict_probs(model, stored_features(model, dataset))
+    probs = predict_probs(model, stored_features(model, cfg.data_dir)[dataset.index])
     report = evaluate(probs, dataset.labels, param_report(model))
     out_dir = Path(args.out or cfg.out_dir)
     write_report(report, out_dir)

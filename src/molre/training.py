@@ -137,19 +137,25 @@ def trunk_cache(model, dataset) -> np.ndarray:
     return np.stack(feats)
 
 
-def stored_features(model, dataset: DiskDataset) -> np.ndarray:
-    """Frozen-trunk features of one split of an on-disk dataset, in its row
-    order, as `trunk_cache` gives them, read from the dataset's feature store.
+# the files whose code windows, embeds and stacks the stored features; an
+# edit to any of them rebuilds every store
+TRUNK_CODE = ("preprocess.py", "pipeline.py", "model.py", "training.py")
 
-    The store is `features-<trunk>-<digest>.ckpt` next to manifest.json: the
-    features of every sample in the manifest, in manifest order. Its name
-    holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256 of
-    the trunk's frozen conv parameters and DEFAULT_WINDOWS; the file also
-    records the CRC32 of every .vol file. A missing store is built. One that
-    fails its checksums or was built from other .vol bytes is rebuilt, with
-    one line on stderr; it is never served. If the store cannot be written,
-    the computed features are returned all the same."""
-    everything = DiskDataset(dataset.root)
+
+def stored_features(model, root: str | Path) -> np.ndarray:
+    """Frozen-trunk features of every sample of the on-disk dataset at
+    `root`, in manifest order, as `trunk_cache` gives them, read from the
+    dataset's feature store; `features[dataset.index]` are a split's.
+
+    The store is `features-<trunk>-<digest>.ckpt` next to manifest.json. Its
+    name holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256
+    of the trunk's frozen conv parameters and DEFAULT_WINDOWS; the file also
+    records the SHA-256 of the TRUNK_CODE files and the CRC32 of every .vol
+    file. A missing store is built. One that fails its checksums, or was
+    built by other code or from other .vol bytes, is rebuilt with one line
+    on stderr; it is never served. If the store cannot be written, the
+    computed features are returned all the same."""
+    everything = DiskDataset(root)
     h = hashlib.sha256()
     for name, t in model.frozen_parameters().items():
         if name.startswith("backbone.conv"):  # the projection runs after the store
@@ -162,6 +168,10 @@ def stored_features(model, dataset: DiskDataset) -> np.ndarray:
     }
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
     path = everything.root / f"features-{key['trunk']}-{digest}.ckpt"
+    code = hashlib.sha256()
+    for name in TRUNK_CODE:
+        code.update((Path(__file__).parent / name).read_bytes())
+    key["code_sha256"] = code.hexdigest()
     key["vol_crc32"] = [zlib.crc32((everything.root / r["file"]).read_bytes()) for r in everything.rows]
 
     feats = None
@@ -171,11 +181,15 @@ def stored_features(model, dataset: DiskDataset) -> np.ndarray:
         except CheckpointError as e:
             print(f"feature store rejected ({e}); rebuilding", file=sys.stderr)
         else:
-            if sections.get("key") == key and "features" in tensors:
+            built = sections.get("key")
+            if built == key and "features" in tensors:
                 feats = tensors["features"]
             else:
-                print(f"feature store {path} was built from other .vol files; rebuilding",
-                      file=sys.stderr)
+                # the name's digest covers the rest of the key
+                other = [what for k, what in (("code_sha256", "trunk code"), ("vol_crc32", ".vol files"))
+                         if not isinstance(built, dict) or built.get(k) != key[k]]
+                print(f"feature store {path} was built from other {' and '.join(other) or 'data'}; "
+                      "rebuilding", file=sys.stderr)
     if feats is None:
         feats = trunk_cache(model, everything)
         try:
@@ -183,7 +197,7 @@ def stored_features(model, dataset: DiskDataset) -> np.ndarray:
         except OSError as e:
             print(f"feature store not written ({e}); using the computed features",
                   file=sys.stderr)
-    return feats[dataset.index]
+    return feats
 
 
 def predict_probs(model, z: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,10 +30,6 @@ VOLUME_MAGIC = b"MLVX"
 VOLUME_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 _HEADER = struct.Struct("<4sIIIIfff")
-
-# read once, at import: os.umask can only be read by setting it
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 
 
 class DataError(RuntimeError):
@@ -65,10 +61,10 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     """Write `data` to `path` through a unique temporary file in the same
     directory, renamed over `path`; the file gets the umask's permissions."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -4,13 +4,15 @@
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import molre
+import molre.model
+import molre.pipeline
+import molre.training
 from molre.cli import main
 from molre.config import RunConfig
 from molre.pipeline import SliceBackbone, VolumeBackbone
@@ -59,10 +61,11 @@ def test_stored_features_equal_in_process_trunk_cache(data_dir, mode, trunk_call
         ds = DiskDataset(data_dir, split)
         ref = trunk_cache(model, ds)
         del trunk_calls[:]
-        got = stored_features(model, ds)
+        got = stored_features(model, data_dir)[ds.index]
         assert got.dtype == np.float64 and np.array_equal(got, ref)
         # the first call built the store for every split at once
         assert len(trunk_calls) == (12 if split == "train" else 0)
+    assert np.array_equal(stored_features(model, data_dir), trunk_cache(model, DiskDataset(data_dir)))
     assert [name.split("-")[1] for name in _stores(data_dir)] == ["3d" if mode == "molre3d" else "2d"]
 
 
@@ -103,7 +106,7 @@ def test_store_is_read_by_another_process(data_dir, tmp_path):
     assert (tmp_path / "m" / "best.ckpt").exists()
 
 
-def _change_a_vol_byte(data_dir, model):
+def _change_a_vol_byte(data_dir, model, monkeypatch):
     vol = sorted(data_dir.glob("*.vol"))[3]
     raw = bytearray(vol.read_bytes())
     raw[-4] ^= 0x01  # low mantissa bit of the last f32 voxel: still a valid volume
@@ -111,7 +114,7 @@ def _change_a_vol_byte(data_dir, model):
     return model
 
 
-def _flip_a_store_bit(data_dir, model):
+def _flip_a_store_bit(data_dir, model, monkeypatch):
     (store,) = data_dir.glob("features-*.ckpt")
     raw = bytearray(store.read_bytes())
     raw[len(raw) // 2] ^= 0x04
@@ -119,38 +122,57 @@ def _flip_a_store_bit(data_dir, model):
     return model
 
 
+def _edit_the_trunk_code(data_dir, model, monkeypatch):
+    # stands in for an edit of one of the files: the hashed code differs
+    monkeypatch.setattr(molre.training, "TRUNK_CODE", molre.training.TRUNK_CODE[:-1])
+    return model
+
+
 @pytest.mark.parametrize("change, stderr", [
     (_change_a_vol_byte, "was built from other .vol files; rebuilding"),
-    (lambda data_dir, model: build_model(RunConfig(stub_seed=99)), ""),
-    (lambda data_dir, model: build_model(RunConfig(stub_channels=(8, 8, 16))), ""),
+    (_edit_the_trunk_code, "was built from other trunk code; rebuilding"),
+    (lambda data_dir, model, mp: build_model(RunConfig(stub_seed=99)), ""),
+    (lambda data_dir, model, mp: build_model(RunConfig(stub_channels=(8, 8, 16))), ""),
     (_flip_a_store_bit, "fails its CRC32 check"),
-], ids=["vol-byte", "stub-seed", "stub-channels", "store-bit"])
-def test_store_is_rebuilt(data_dir, trunk_calls, capsys, change, stderr):
+], ids=["vol-byte", "trunk-code", "stub-seed", "stub-channels", "store-bit"])
+def test_store_is_rebuilt(data_dir, trunk_calls, capsys, monkeypatch, change, stderr):
     model = build_model(RunConfig())
-    test = DiskDataset(data_dir, "test")
-    stored_features(model, test)
-    model = change(data_dir, model)
+    everything = DiskDataset(data_dir)
+    stored_features(model, data_dir)
+    model = change(data_dir, model, monkeypatch)
     del trunk_calls[:]
     capsys.readouterr()
-    got = stored_features(model, test)
+    got = stored_features(model, data_dir)
     assert len(trunk_calls) == 12
     err = capsys.readouterr().err
     assert (stderr in err and err.count("\n") == 1) if stderr else err == ""
-    assert np.array_equal(got, trunk_cache(model, test))
+    assert np.array_equal(got, trunk_cache(model, everything))
     # the rebuilt store is served from then on
     del trunk_calls[:]
-    assert np.array_equal(stored_features(model, test), got) and trunk_calls == []
+    assert np.array_equal(stored_features(model, data_dir), got) and trunk_calls == []
+
+
+def test_store_key_covers_every_file_of_the_trunk_code():
+    src = Path(molre.training.__file__).parent
+    for name in molre.training.TRUNK_CODE:
+        assert (src / name).is_file(), name
+    # the code behind trunk_cache: windowing, the stubs' convs and pooling,
+    # the models' trunk_features, and trunk_cache itself
+    for fn in (molre.training.hu_window, molre.pipeline._conv2d_relu, molre.pipeline._conv3d_relu,
+               molre.model.SliceModel.trunk_features, molre.model.VolumeModel.trunk_features,
+               molre.training.windowed, molre.training.trunk_cache):
+        assert Path(fn.__code__.co_filename).name in molre.training.TRUNK_CODE, fn
 
 
 def test_unwritable_store_still_trains(data_dir, tmp_path, monkeypatch, capsys):
-    real = tempfile.mkstemp
+    real = os.open
 
-    def mkstemp(*args, dir=None, **kwargs):
-        if Path(dir) == data_dir:
+    def fake_open(path, *args, **kwargs):
+        if Path(path).parent == data_dir:
             raise PermissionError("read-only data dir")
-        return real(*args, dir=dir, **kwargs)
+        return real(path, *args, **kwargs)
 
-    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(os, "open", fake_open)
     code = main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "r")])
     assert code == 0
     assert "feature store not written (read-only data dir)" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from molre.volumes import (
     DataError,
     DiskDataset,
     VolumeSample,
+    atomic_write,
     read_manifest,
     read_volume,
     write_manifest,
@@ -138,6 +140,16 @@ def test_read_rejects_truncated_header(tmp_path):
 def test_writes_leave_no_temporary_behind(tmp_path):
     _write_dataset(tmp_path, n=2)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "s000.mlvx", "s001.mlvx"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_get_the_umask_permissions(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "f", b"x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "f").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("edit, says", [
