@@ -17,7 +17,7 @@ from pathlib import Path
 
 from molre.config import RunConfig
 from molre.synthetic import SynthConfig, SyntheticDataset
-from molre.training import train
+from molre.training import Trainer
 
 RUN_DIR = Path(__file__).resolve().parent / "runs" / "demo-run"
 
@@ -32,7 +32,6 @@ cfg = RunConfig(
     num_samples=20,
     train_frac=0.6,
     val_frac=0.2,
-    test_frac=0.2,
     batch_size=4,
     min_epochs=5,
     patience=3,
@@ -50,7 +49,8 @@ val_data = SyntheticDataset(
 print(f"train {len(train_data)} / val {len(val_data)} studies, "
       f"{cfg.num_classes} classes, volumes {tuple(cfg.volume_shape)}")
 
-result, trainer = train(cfg, train_data, val_data, run_dir=RUN_DIR)
+trainer = Trainer(cfg, train_data, val_data, run_dir=RUN_DIR)
+result = trainer.train()
 
 print(f"\n{'epoch':>5} {'loss':>8} {'val auc':>8}")
 for rec in result.history:

@@ -25,9 +25,14 @@ from pathlib import Path
 
 from molre.checkpoint import load_checkpoint
 from molre.cli import cmd_synth
-from molre.config import RunConfig
 from molre.metrics import evaluate, param_report, write_report
-from molre.training import build_model, load_model_params, predict_probs, stored_features
+from molre.training import (
+    build_model,
+    checkpoint_config,
+    load_model_params,
+    predict_probs,
+    stored_features,
+)
 from molre.volumes import MANIFEST_NAME, DiskDataset
 
 RUN_DIR = Path(__file__).resolve().parent / "runs" / "demo-run"
@@ -39,7 +44,7 @@ if not ckpt.exists():
 # the checkpoint carries everything needed to rebuild the model; the same
 # check as `molre eval` makes sure its tensors fit the rebuilt model
 tensors, sections = load_checkpoint(ckpt)
-cfg = RunConfig.from_dict(sections["config"])
+cfg = checkpoint_config(sections)
 model = build_model(cfg)
 load_model_params(model, cfg, tensors, sections)
 print(f"restored mode={cfg.mode} from epoch {sections['train_state']['epoch']} "

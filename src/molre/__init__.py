@@ -55,7 +55,6 @@ from .training import (
     build_model,
     predict_probs,
     stored_features,
-    train,
     trunk_cache,
 )
 from .volumes import (

@@ -3,7 +3,7 @@ parameter accounting.
 
     molre synth        --config c.cfg [--set k=v ...] [--seed N] [--out DIR]
     molre train        --config c.cfg [--set k=v ...] [--seed N] [--out DIR]
-    molre eval         --checkpoint best.ckpt [--split test] [--out DIR]
+    molre eval         --checkpoint best.ckpt [--split test] [--set k=v ...] [--out DIR]
     molre count-params [--config c.cfg] [--set k=v ...]
 
 `train` and `eval` read the frozen trunk's features from the dataset's
@@ -13,11 +13,16 @@ rebuilt, with one line on stderr, when a `.vol` file or the trunk's code
 changed or the store fails its checksums. Deleting the file only costs one
 rebuild.
 
-Exit codes: 0 success, 2 config error, 3 data error (a missing, malformed
-or corrupt manifest, `.vol` file or checkpoint, a checkpoint of another
-format version or another run, or an evaluation split where no class has
-both labels), 4 numerical abort. Each error is one stderr line with its
-prefix (`config error:`, `data error:`, `numerical abort:`).
+`eval` rebuilds the run from the checkpoint's own config, with any `--set`
+applied on top.
+
+Exit codes: 0 success, 2 config error (in the config file or `--set`), 3
+data error (a missing, malformed or corrupt manifest, `.vol` file or
+checkpoint, a dataset with another class count than the run, a checkpoint
+of another format version or another run, one with no config section or
+with a config key this version does not know, or an evaluation split where
+no class has both labels), 4 numerical abort. Each error is one stderr line
+with its prefix (`config error:`, `data error:`, `numerical abort:`).
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
-from .preprocess import DEFAULT_WINDOWS
 from .synthetic import SynthConfig, class_prevalences, synth_sample
 from .training import (
     NumericalAbort,
     Trainer,
     build_model,
+    checkpoint_config,
     load_model_params,
     predict_probs,
     stored_features,
@@ -59,14 +64,18 @@ def _resolve_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _check_windows(cfg: RunConfig) -> None:
-    """The trunk reads one channel per HU window; reject a mismatch before
-    any volume is read."""
-    if cfg.in_channels != len(DEFAULT_WINDOWS):
-        raise ConfigError(
-            f"in_channels={cfg.in_channels}, but volumes are windowed into "
-            f"{len(DEFAULT_WINDOWS)} channels"
+def _split(cfg: RunConfig, split: str) -> DiskDataset:
+    """One split of the dataset at cfg.data_dir, which must have the run's
+    class count."""
+    if not cfg.data_dir:
+        raise DataError("no data_dir: pass --set data_dir=DIR naming a synthesized dataset")
+    data = DiskDataset(cfg.data_dir, split)
+    if data.num_classes != cfg.num_classes:
+        raise DataError(
+            f"{cfg.data_dir} has {data.num_classes} classes, the run has "
+            f"num_classes={cfg.num_classes}"
         )
+    return data
 
 
 def _split_counts(n: int, cfg: RunConfig) -> tuple[int, int]:
@@ -74,8 +83,8 @@ def _split_counts(n: int, cfg: RunConfig) -> tuple[int, int]:
     n_val = int(n * cfg.val_frac)
     if n_train < 1 or n_val < 1 or n_train + n_val >= n:
         raise ConfigError(
-            f"split fractions {cfg.train_frac}/{cfg.val_frac}/{cfg.test_frac} "
-            f"leave no usable train/val/test split for n={n}"
+            f"split fractions {cfg.train_frac}/{cfg.val_frac} leave no usable "
+            f"train/val/test split for n={n}"
         )
     return n_train, n_val
 
@@ -122,11 +131,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _check_windows(cfg)
-    if not cfg.data_dir:
-        raise DataError("train needs data_dir pointing at a synthesized dataset")
-    train_data = DiskDataset(cfg.data_dir, "train")
-    val_data = DiskDataset(cfg.data_dir, "val")
+    train_data, val_data = _split(cfg, "train"), _split(cfg, "val")
     run_dir = Path(cfg.out_dir)
     # every model of cfg has the frozen trunk of build_model(cfg)
     feats = stored_features(build_model(cfg), cfg.data_dir)
@@ -146,14 +151,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(args) -> int:
     tensors, sections = load_checkpoint(args.checkpoint)
-    cfg = RunConfig.from_dict(sections["config"])
-    cfg = apply_overrides(cfg, args.set or [])
-    _check_windows(cfg)
+    cfg = apply_overrides(checkpoint_config(sections), args.set or [])
     model = build_model(cfg)
     load_model_params(model, cfg, tensors, sections)
-    if not cfg.data_dir:
-        raise DataError("checkpoint config has no data_dir; pass --set data_dir=...")
-    dataset = DiskDataset(cfg.data_dir, args.split)
+    dataset = _split(cfg, args.split)
     probs = predict_probs(model, stored_features(model, cfg.data_dir)[dataset.index])
     report = evaluate(probs, dataset.labels, param_report(model))
     out_dir = Path(args.out or cfg.out_dir)

@@ -1,10 +1,12 @@
 """Run configuration: one flat `key = value` file, strictly validated.
 
-Every knob of a run lives in `RunConfig` with a documented default; a config
-file only lists the keys it overrides. Unknown keys, malformed values, and
-mode-inconsistent settings are all rejected at load time with the offending
-key named. `--set key=value` overrides reuse the same parser, so a file plus
-overrides is exactly equivalent to an edited file.
+Every knob of a run lives in `RunConfig` with a documented default, and
+every key changes the run; a config file only lists the keys it overrides.
+Unknown keys, malformed values, and mode-inconsistent settings are all
+rejected at load time with the offending key named. `--set key=value`
+overrides reuse the same parser, so a file plus overrides is exactly
+equivalent to an edited file. A checkpoint keeps its run's config as a
+`to_dict` section, read back by `training.checkpoint_config`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ class RunConfig:
     router_hidden: int = 256    # router MLP hidden width
     feature_dim: int = 32       # working feature dimension after the stub
     num_classes: int = 12
-    in_channels: int = 3        # HU windows per voxel
     stub_seed: int = 1234
     stub_channels: tuple[int, ...] = (16, 32, 64)
 
@@ -40,8 +41,7 @@ class RunConfig:
     spacing: tuple[float, ...] = (1.0, 1.0, 4.0)  # (x, y, z) mm
     num_samples: int = 200      # synth dataset size
     train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
+    val_frac: float = 0.1       # the test split is what train and val leave
     data_dir: str = ""
     data_seed: int = 7          # seed for synthetic data generation
 
@@ -65,8 +65,7 @@ class RunConfig:
     min_epochs: int = 20
     patience: int = 5
     max_epochs: int = 100
-    augment: bool = False
-    mirror_p: float = 0.5
+    augment: bool = False       # preprocess.AugmentConfig() on every train epoch
 
     # run identity
     seed: int = 0
@@ -88,15 +87,17 @@ class RunConfig:
             )
         if self.router_hidden < 1:
             raise ConfigError("router_hidden must be >= 1")
-        if self.num_classes < 1 or self.in_channels < 1 or self.feature_dim < 1:
-            raise ConfigError("num_classes, in_channels, feature_dim must be >= 1")
+        if self.num_classes < 1 or self.feature_dim < 1:
+            raise ConfigError("num_classes, feature_dim must be >= 1")
         if len(self.volume_shape) != 3 or any(n < 8 for n in self.volume_shape):
             raise ConfigError(f"volume_shape needs 3 dims >= 8, got {self.volume_shape}")
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ConfigError(f"spacing needs 3 positive values, got {self.spacing}")
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs) or sum(fracs) > 1.0 + 1e-9:
-            raise ConfigError(f"split fractions must be positive and sum <= 1: {fracs}")
+        if min(self.train_frac, self.val_frac) <= 0 or self.train_frac + self.val_frac >= 1.0:
+            raise ConfigError(
+                f"train_frac and val_frac must be positive and sum below 1, leaving the "
+                f"test split, got {self.train_frac} and {self.val_frac}"
+            )
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
         if not 0.0 < self.weight_clamp_lo <= self.weight_clamp_hi < 1.0:
@@ -118,38 +119,27 @@ class RunConfig:
             raise ConfigError(
                 f"max_epochs ({self.max_epochs}) < min_epochs ({self.min_epochs})"
             )
-        if not 0.0 <= self.mirror_p <= 1.0:
-            raise ConfigError("mirror_p must be in [0, 1]")
         if self.num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
         return self
 
     def to_dict(self) -> dict:
+        """Plain JSON values: tuples become lists."""
         out = dataclasses.asdict(self)
-        for k, v in out.items():
-            if isinstance(v, tuple):
-                out[k] = list(v)
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in d:
-                v = d[f.name]
-                kwargs[f.name] = tuple(v) if isinstance(v, list) else v
-        return cls(**kwargs).validate()
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}).validate()
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    f = _FIELDS[key]
     default = getattr(RunConfig(), key)
     raw = raw.strip()
     try:
@@ -172,19 +162,23 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"cannot parse {key} = {raw!r} as {type(default).__name__}")
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = dataclasses.replace(base) if base is not None else RunConfig()
+def _assign(cfg: RunConfig, item: str, where: str) -> None:
+    """Parse one `key = value` item onto cfg; `where` starts any error."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    key, raw = item.split("=", 1)
+    key = key.strip()
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    setattr(cfg, key, _parse_value(key, raw))
+
+
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw))
+        if stripped:
+            _assign(cfg, stripped, f"line {lineno}")
     return cfg
 
 
@@ -198,21 +192,5 @@ def load_config(path: str | Path) -> RunConfig:
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply repeatable `key=value` strings on top of a config."""
     for ov in overrides:
-        if "=" not in ov:
-            raise ConfigError(f"override must be key=value, got {ov!r}")
-        key, raw = ov.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw))
+        _assign(cfg, ov, "--set")
     return cfg.validate()
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ", ".join(str(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"

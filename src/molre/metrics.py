@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,18 +65,6 @@ class MetricsReport:
     n_pos: list[int]
     n_neg: list[int]
     param_table: list[tuple[str, int, bool]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class_auc": self.per_class_auc,
-            "mean_auc": self.mean_auc,
-            "std_auc": self.std_auc,
-            "bucket_high": self.bucket_high,
-            "bucket_mid": self.bucket_mid,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "param_table": [list(r) for r in self.param_table],
-        }
 
 
 def evaluate(probs: np.ndarray, labels: np.ndarray, param_table=None) -> MetricsReport:
@@ -154,5 +142,5 @@ def write_report(report: MetricsReport, out_dir: Path) -> None:
     with open(out_dir / "report.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+        json.dump(asdict(report), fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -52,7 +52,6 @@ class _Model:
     def __init__(
         self,
         mode: str,
-        in_channels: int = 3,
         feature_dim: int = 32,
         num_classes: int = 12,
         num_experts: int = 6,
@@ -63,7 +62,7 @@ class _Model:
         stub_channels: tuple[int, int, int] = (16, 32, 64),
     ):
         self.mode = mode
-        self.stub = self.backbone(in_channels, feature_dim, stub_channels, stub_seed)
+        self.stub = self.backbone(feature_dim, stub_channels, stub_seed)
         p = self.stub.trunk_dim
         self.lora = LoraAdapter(p, feature_dim, rank, lora_alpha) if mode == "lora" else None
         self.molre = (

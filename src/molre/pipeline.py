@@ -22,6 +22,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .preprocess import DEFAULT_WINDOWS
 from .rng import RngStream
 from .tensor import ShapeError, Tensor, sigmoid, softmax, softmax_backward
 
@@ -63,30 +64,30 @@ class _Backbone:
     """Frozen feature extractor: 3 strided convs, global mean pool, and a
     linear projection to the working feature dimension.
 
-    Weights come from `seed` alone, so two stubs built with the same seed
-    produce identical features. Nothing here ever receives a gradient.
-    Subclasses fix the spatial rank: the kernel shape and the stream the
-    weights are drawn from.
+    The input has one channel per HU window of `DEFAULT_WINDOWS`. Weights
+    come from `seed` alone, so two stubs built with the same seed produce
+    identical features. Nothing here ever receives a gradient. Subclasses
+    fix the spatial rank: the kernel shape and the stream the weights are
+    drawn from.
     """
 
     kernel: tuple[int, ...]
     stream: int
+    in_channels = len(DEFAULT_WINDOWS)
 
     def __init__(
         self,
-        in_channels: int = 3,
         feature_dim: int = 32,
         channels: tuple[int, int, int] = (16, 32, 64),
         seed: int = 1234,
     ):
-        self.in_channels = in_channels
         self.feature_dim = feature_dim
         self.channels = tuple(channels)
         self.trunk_dim = self.channels[-1]
         self.seed = seed
         rng = RngStream(seed, self.stream)
         self.conv_w, self.conv_b = [], []
-        ci = in_channels
+        ci = self.in_channels
         for co in self.channels:
             std = np.sqrt(2.0 / (ci * math.prod(self.kernel)))
             self.conv_w.append(Tensor(rng.normal(0.0, std, (co, ci, *self.kernel))))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .losses import FocalLossConfig, focal_loss, focal_loss_backward, prevalence_weights
 from .metrics import aggregate, per_class_auc
 from .model import SliceModel, VolumeModel
@@ -41,7 +41,7 @@ from .volumes import DiskDataset
 # (stub_seed) or the adapter scale (lora_alpha); a checkpoint must match all
 MODEL_KEYS = (
     "mode", "num_experts", "rank", "lora_alpha", "router_hidden", "feature_dim",
-    "num_classes", "in_channels", "stub_seed", "stub_channels",
+    "num_classes", "stub_seed", "stub_channels",
 )
 
 # studies per forward call in `predict_probs`
@@ -82,7 +82,6 @@ class EarlyStopState:
 
 def build_model(cfg: RunConfig):
     kwargs = dict(
-        in_channels=cfg.in_channels,
         feature_dim=cfg.feature_dim,
         num_classes=cfg.num_classes,
         num_experts=cfg.num_experts,
@@ -97,15 +96,28 @@ def build_model(cfg: RunConfig):
     return SliceModel(mode=cfg.mode, **kwargs)
 
 
+def checkpoint_config(sections: dict) -> RunConfig:
+    """The RunConfig a checkpoint was written with, from its `config`
+    section. Raises CheckpointError when the section is missing or does not
+    make a valid config, e.g. it holds a key this version does not know."""
+    if not isinstance(sections.get("config"), dict):
+        raise CheckpointError("checkpoint has no config section: not a training checkpoint")
+    try:
+        return RunConfig.from_dict(sections["config"])
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint config: {e}") from None
+
+
 def load_model_params(model, cfg: RunConfig, tensors: dict, sections: dict) -> None:
     """Copy a checkpoint's parameters into `model`, which was built from `cfg`.
 
-    Raises CheckpointError naming the first model-block key on which the
-    checkpoint's config and `cfg` differ, or the first parameter the
-    checkpoint lacks or holds at another shape; the model is untouched then.
+    Raises CheckpointError when the checkpoint's config cannot be read (see
+    `checkpoint_config`), naming the first model-block key on which it and
+    `cfg` differ, or the first parameter the checkpoint lacks or holds at
+    another shape; the model is untouched then.
     """
     # compared as plain JSON values, so a list and a tuple of the same ints match
-    saved, ours = RunConfig.from_dict(sections["config"]).to_dict(), cfg.to_dict()
+    saved, ours = checkpoint_config(sections).to_dict(), cfg.to_dict()
     for key in MODEL_KEYS:
         if saved[key] != ours[key]:
             raise CheckpointError(
@@ -254,7 +266,7 @@ class Trainer:
         )
         self.loss_cfg = FocalLossConfig(gamma=cfg.gamma, class_weights=weights)
         self.factors = repeat_factors(self.labels, cfg.sampler_threshold)
-        self.aug_cfg = AugmentConfig(mirror_p=cfg.mirror_p) if cfg.augment else None
+        self.aug_cfg = AugmentConfig() if cfg.augment else None
 
         if self.aug_cfg is None:
             self.train_z = train_cache if train_cache is not None else trunk_cache(self.model, train_data)
@@ -330,7 +342,8 @@ class Trainer:
     def _log(self, record: dict) -> None:
         self.history.append(record)
         if self.run_dir is not None:
-            with open(self.run_dir / "metrics.jsonl", "a") as fh:
+            # a run's first epoch starts the log; a resumed run appends to it
+            with open(self.run_dir / "metrics.jsonl", "w" if record["epoch"] == 1 else "a") as fh:
                 fh.write(json.dumps(record) + "\n")
 
     def step_epoch(self) -> dict:
@@ -412,18 +425,3 @@ class Trainer:
             for name, arr in tensors.items()
             if name.startswith("best.")
         }
-
-
-def train(
-    cfg: RunConfig,
-    train_data,
-    val_data,
-    run_dir: str | Path | None = None,
-    train_cache: np.ndarray | None = None,
-    val_cache: np.ndarray | None = None,
-) -> tuple[TrainResult, Trainer]:
-    """Run the full protocol; returns the result and the trainer with the
-    best-validation parameters loaded."""
-    trainer = Trainer(cfg, train_data, val_data, run_dir, train_cache, val_cache)
-    result = trainer.train()
-    return result, trainer

@@ -36,7 +36,7 @@ from molre.rng import RngStream
 from molre.sampling import expand_indices, repeat_factors
 from molre.synthetic import SynthConfig, SyntheticDataset, sample_label_matrix, synth_sample
 from molre.tensor import Tensor, finite_diff_grad
-from molre.training import Trainer, build_model, predict_probs, train, windowed
+from molre.training import Trainer, build_model, predict_probs, windowed
 from molre.volumes import VolumeSample
 
 
@@ -313,16 +313,15 @@ def test_c10_protocol_fidelity(monkeypatch, tmp_path):
     # constant validation AUC: halts at exactly min_epochs + patience
     with monkeypatch.context() as m:
         m.setattr(Trainer, "validate", lambda self: 0.5)
-        result, _ = train(_mini_protocol_cfg(), tr, va)
+        result = Trainer(_mini_protocol_cfg(), tr, va).train()
     assert result.stopped_epoch == 25, result.stopped_epoch
 
     # the reported checkpoint is the best one
     sequence = {1: 0.55, 2: 0.70, 3: 0.60, 4: 0.58, 5: 0.57}
     with monkeypatch.context() as m:
         m.setattr(Trainer, "validate", lambda self: sequence[self.epochs_done + 1])
-        result, trainer = train(
-            _mini_protocol_cfg(min_epochs=1, patience=3), tr, va, run_dir=tmp_path
-        )
+        trainer = Trainer(_mini_protocol_cfg(min_epochs=1, patience=3), tr, va, run_dir=tmp_path)
+        result = trainer.train()
     assert result.best_epoch == 2 and result.best_val_auc == 0.70
     for name, t in trainer.model.parameters().items():
         assert np.array_equal(t.data, trainer.best_params[name]), name

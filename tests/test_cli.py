@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from molre.checkpoint import load_checkpoint, save_checkpoint
 from molre.cli import _resolve_config, build_parser, main
 from molre.training import NumericalAbort
 from molre.volumes import DiskDataset
@@ -14,7 +15,6 @@ TINY = [
     "--set", "num_samples=20",
     "--set", "train_frac=0.6",
     "--set", "val_frac=0.2",
-    "--set", "test_frac=0.2",
     "--set", "feature_dim=8",
     "--set", "num_experts=3",
     "--set", "rank=2",
@@ -136,6 +136,18 @@ def test_train_eval_roundtrip(tmp_path, capsys):
     assert "mean AUC" in capsys.readouterr().out
 
 
+def test_train_with_augmentation(tmp_path, capsys):
+    # augmented epochs embed the train studies afresh instead of reading the store
+    data_dir = _synth(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["train", *TINY, "--set", "augment=true", "--set", f"data_dir={data_dir}",
+                 "--out", str(run_dir)]) == 0
+    records = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [1, 2]
+    assert all(np.isfinite(r["train_loss"]) for r in records)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_train_without_data_dir_exits_data(tmp_path):
     assert main(["train", *TINY, "--out", str(tmp_path / "run")]) == 3
 
@@ -178,24 +190,6 @@ def test_eval_rejects_checkpoint_that_does_not_match_the_run(tmp_path, capsys, o
     assert err.startswith("data error:") and f"this run has {key}=" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev").exists()
-
-
-def test_in_channels_other_than_the_windows_exits_config(tmp_path, capsys):
-    data_dir = _synth(tmp_path)
-    run_dir = tmp_path / "run"
-    assert main(["train", *TINY, "--set", f"data_dir={data_dir}", "--out", str(run_dir)]) == 0
-    capsys.readouterr()
-    # a missing data_dir would be a data error (3): the check comes first
-    code = main(["train", *TINY, "--set", "in_channels=2",
-                 "--set", f"data_dir={tmp_path / 'nowhere'}", "--out", str(tmp_path / "r2")])
-    assert code == 2
-    code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--split", "test",
-                 "--set", "in_channels=2", "--set", f"data_dir={tmp_path / 'nowhere'}",
-                 "--out", str(tmp_path / "ev")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("config error: in_channels=2") == 2 and "Traceback" not in err
-    assert not (tmp_path / "r2").exists() and not (tmp_path / "ev").exists()
 
 
 def test_numerical_abort_exits_4(monkeypatch, tmp_path):
@@ -258,6 +252,27 @@ def _edit_ckpt(edit):
     return corrupt
 
 
+def _edit_ckpt_config(edit):
+    def corrupt(data_dir, ckpt):
+        tensors, sections = load_checkpoint(ckpt)
+        edit(sections["config"])
+        save_checkpoint(ckpt, tensors, sections)
+    return corrupt
+
+
+def _store_as_ckpt(data_dir, ckpt):
+    (store,) = data_dir.glob("features-*.ckpt")
+    shutil.copy(store, ckpt)
+
+
+def _with_classes(n):
+    def edit(manifest):
+        manifest["num_classes"] = n
+        for row in manifest["samples"]:
+            row["labels"] = (row["labels"] + [0] * n)[:n]
+    return _edit_manifest(edit)
+
+
 def _flip_middle_bit(raw):
     raw[len(raw) // 2] ^= 0x01
 
@@ -293,6 +308,14 @@ BAD_INPUTS = [
     ("ckpt-overwritten-near-start", "eval", _edit_ckpt(_overwrite_near_start),
      "'best.experts.A' runs past the end"),
     ("ckpt-version-2", "eval", _edit_ckpt(_as_version_2), "format version 2, this build reads 3"),
+    ("ckpt-without-config", "eval", _store_as_ckpt, "checkpoint has no config section"),
+    # a key an older version wrote: the checkpoint is at fault, not the user's config
+    ("ckpt-config-unknown-key", "eval", _edit_ckpt_config(lambda c: c.update(in_channels=3)),
+     "unknown config keys: ['in_channels']"),
+    ("manifest-other-class-count", "eval", _with_classes(5),
+     "has 5 classes, the run has num_classes=3"),
+    ("manifest-other-class-count-train", "train", _with_classes(2),
+     "has 2 classes, the run has num_classes=3"),
 ]
 
 

@@ -4,7 +4,6 @@ from molre.config import (
     ConfigError,
     RunConfig,
     apply_overrides,
-    config_to_text,
     load_config,
     parse_config_text,
 )
@@ -21,7 +20,6 @@ def test_defaults_match_protocol_constants():
     assert cfg.lr_adapter == 1e-4
     assert cfg.min_epochs == 20
     assert cfg.patience == 5
-    assert cfg.mirror_p == 0.5
     cfg.validate()
 
 
@@ -72,17 +70,13 @@ def test_validate_rules():
     with pytest.raises(ConfigError):
         RunConfig(rank=64, feature_dim=32).validate()
     with pytest.raises(ConfigError):
-        RunConfig(train_frac=0.9, val_frac=0.2, test_frac=0.1).validate()
+        RunConfig(train_frac=0.9, val_frac=0.2).validate()
+    with pytest.raises(ConfigError, match="test split"):
+        RunConfig(train_frac=0.75, val_frac=0.25).validate()  # nothing left to test on
     with pytest.raises(ConfigError):
         RunConfig(max_epochs=10, min_epochs=20).validate()
     with pytest.raises(ConfigError):
         RunConfig(weight_clamp_lo=0.9, weight_clamp_hi=0.1).validate()
-
-
-def test_text_roundtrip():
-    cfg = RunConfig(mode="lora", batch_size=4, spacing=(2.0, 2.0, 2.0))
-    back = parse_config_text(config_to_text(cfg))
-    assert back == cfg
 
 
 def test_dict_roundtrip():

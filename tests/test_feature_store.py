@@ -21,7 +21,7 @@ from molre.volumes import DiskDataset
 
 SIZES = {
     "volume_shape": "8,16,16", "num_classes": "3", "num_samples": "12",
-    "train_frac": "0.5", "val_frac": "0.25", "test_frac": "0.25",
+    "train_frac": "0.5", "val_frac": "0.25",
     "feature_dim": "8", "num_experts": "3", "rank": "2", "router_hidden": "5",
     "batch_size": "4", "min_epochs": "1", "patience": "1", "max_epochs": "1",
 }

@@ -65,15 +65,15 @@ def test_rownorm_standardizes_rows():
 
 
 def test_slice_backbone_shapes_and_determinism():
-    stub = SliceBackbone(in_channels=3, feature_dim=32)
+    stub = SliceBackbone(feature_dim=32)
     x = np.random.default_rng(3).uniform(0, 1, (4, 3, 64, 64))
     z = stub.trunk(x)
     assert z.shape == (4, 64)
     f = stub.project(z)
     assert f.shape == (4, 32)
-    again = SliceBackbone(in_channels=3, feature_dim=32)
+    again = SliceBackbone(feature_dim=32)
     assert np.array_equal(again.trunk(x), z)
-    other = SliceBackbone(in_channels=3, feature_dim=32, seed=99)
+    other = SliceBackbone(feature_dim=32, seed=99)
     assert not np.array_equal(other.trunk(x), z)
 
 
@@ -86,7 +86,7 @@ def test_slice_backbone_rejects_bad_input():
 
 
 def test_volume_backbone_shapes():
-    stub = VolumeBackbone(in_channels=3, feature_dim=32)
+    stub = VolumeBackbone(feature_dim=32)
     x = np.random.default_rng(4).uniform(0, 1, (2, 3, 16, 32, 32))
     z = stub.trunk(x)
     assert z.shape == (2, 64)

@@ -12,17 +12,10 @@ from molre.training import (
     Trainer,
     build_model,
     predict_probs,
-    train,
     trunk_cache,
     windowed,
 )
-
-
-class FakeSample:
-    def __init__(self, voxels, sample_id, spacing=(1.0, 1.0, 4.0)):
-        self.voxels = voxels
-        self.sample_id = sample_id
-        self.spacing = spacing
+from molre.volumes import VolumeSample
 
 
 class FakeDataset:
@@ -40,7 +33,7 @@ class FakeDataset:
         return len(self.ids)
 
     def sample(self, i):
-        return FakeSample(self.voxels[i], self.ids[i])
+        return VolumeSample(self.ids[i], self.voxels[i], (1.0, 1.0, 4.0), self.labels[i])
 
 
 def tiny_cfg(**over):
@@ -95,7 +88,7 @@ def test_trainer_stops_on_patched_constant_auc(monkeypatch, tmp_path):
     data = FakeDataset(8)
     cfg = tiny_cfg(min_epochs=3, patience=2, max_epochs=50)
     monkeypatch.setattr(Trainer, "validate", lambda self: 0.5)
-    result, _ = train(cfg, data, data, run_dir=tmp_path)
+    result = Trainer(cfg, data, data, run_dir=tmp_path).train()
     assert result.stopped_epoch == 5  # min_epochs + patience exactly
     assert result.best_epoch == 1
 
@@ -105,11 +98,12 @@ def test_trainer_reports_best_epoch_from_peaked_sequence(monkeypatch):
     cfg = tiny_cfg(min_epochs=1, patience=2, max_epochs=50)
     sequence = {1: 0.55, 2: 0.70, 3: 0.60, 4: 0.58, 5: 0.57}
     monkeypatch.setattr(Trainer, "validate", lambda self: sequence[self.epochs_done + 1])
-    result, trainer = train(cfg, data, data)
+    trainer = Trainer(cfg, data, data)
+    result = trainer.train()
     assert result.best_epoch == 2
     assert result.best_val_auc == 0.70
     assert result.stopped_epoch == 4  # patience 2 after the epoch-2 peak
-    # train() hands back the model with the best snapshot restored
+    # train() leaves the model with the best snapshot restored
     for name, t in trainer.model.parameters().items():
         assert np.array_equal(t.data, trainer.best_params[name]), name
 
@@ -118,7 +112,7 @@ def test_trainer_respects_max_epochs(monkeypatch):
     data = FakeDataset(8)
     cfg = tiny_cfg(min_epochs=1, patience=50, max_epochs=3)
     monkeypatch.setattr(Trainer, "validate", lambda self: 0.5)
-    result, _ = train(cfg, data, data)
+    result = Trainer(cfg, data, data).train()
     assert result.stopped_epoch == 3
 
 
@@ -134,6 +128,26 @@ def test_trainer_logs_jsonl_and_best_checkpoint(tmp_path):
         assert parsed == rec
         assert {"epoch", "train_loss", "val_mean_auc", "best_epoch", "stop"} <= set(parsed)
     assert (tmp_path / "best.ckpt").exists()  # epoch 1 improved over -inf
+
+
+def test_a_resumed_run_appends_to_the_log_and_a_new_one_restarts_it(tmp_path):
+    data = FakeDataset(8)
+    cfg = tiny_cfg(min_epochs=4, max_epochs=4)
+    log = tmp_path / "metrics.jsonl"
+    first = Trainer(cfg, data, data, run_dir=tmp_path)
+    for _ in range(3):
+        first.step_epoch()
+    first.save_state(tmp_path / "mid.ckpt")
+
+    resumed = Trainer(cfg, data, data, run_dir=tmp_path)
+    resumed.load_state(tmp_path / "mid.ckpt")
+    resumed.step_epoch()
+    assert [json.loads(l) for l in log.read_text().splitlines()] == first.history + resumed.history
+
+    again = Trainer(cfg, data, data, run_dir=tmp_path)
+    again.train()
+    assert [json.loads(l)["epoch"] for l in log.read_text().splitlines()] == [1, 2, 3, 4]
+    assert [json.loads(l) for l in log.read_text().splitlines()] == again.history
 
 
 def test_trainer_abort_on_nonfinite_loss():
@@ -197,10 +211,34 @@ def test_resume_is_bitwise_identical(tmp_path):
     assert np.array_equal(predict_probs(a.model, z), predict_probs(b.model, z))
 
 
+def test_resume_under_augmentation_is_bitwise_identical(tmp_path):
+    # augmented epochs embed each study afresh with its own (epoch, id) draw
+    data = FakeDataset(6, seed=2)
+    cfg = tiny_cfg(augment=True, min_epochs=3, max_epochs=3)
+
+    a = Trainer(cfg, data, data)
+    assert a.train_z is None
+    a.step_epoch()
+    a.save_state(tmp_path / "state.ckpt")
+    for _ in range(2):
+        a.step_epoch()
+
+    b = Trainer(cfg, data, data)
+    b.load_state(tmp_path / "state.ckpt")
+    for _ in range(2):
+        b.step_epoch()
+
+    assert a.history[1:] == b.history
+    sa, sb = a.optimizer.state_tensors(), b.optimizer.state_tensors()
+    for name, t in a.model.parameters().items():
+        assert np.array_equal(t.data, b.model.parameters()[name].data), name
+    for name in sa:
+        assert np.array_equal(sa[name], sb[name]), name
+
+
 def test_load_state_rejects_mode_mismatch(tmp_path):
     def trainer(cfg):
-        # features straight from the cache: the trunk never sees the voxels,
-        # so in_channels may differ from the three HU windows
+        # features straight from the cache: the trunk never sees the voxels
         z = np.random.default_rng(0).normal(size=(8, 8, cfg.stub_channels[-1]))
         data = FakeDataset(8, num_classes=cfg.num_classes)
         return Trainer(cfg, data, data, train_cache=z, val_cache=z)
@@ -214,7 +252,6 @@ def test_load_state_rejects_mode_mismatch(tmp_path):
         ("router_hidden", 4),
         ("feature_dim", 6),
         ("num_classes", 2),
-        ("in_channels", 1),
         ("stub_channels", (8, 16, 32)),
         ("stub_seed", 99),
         ("lora_alpha", 8.0),
@@ -254,10 +291,10 @@ def test_training_moves_validation_auc_on_separable_data():
     data.labels[:, 0] = hot
     data.labels[:, 1] = ~hot
     cfg = tiny_cfg(num_classes=2, min_epochs=8, patience=3, max_epochs=12, batch_size=6)
-    result, _ = train(cfg, data, data)
+    result = Trainer(cfg, data, data).train()
     assert result.best_val_auc > 0.9
 
 
 def test_windowed_shape():
-    s = FakeSample(np.zeros((4, 8, 8)), "x")
+    s = VolumeSample("x", np.zeros((4, 8, 8)), (1.0, 1.0, 4.0), [0])
     assert windowed(s).shape == (3, 4, 8, 8)
