@@ -46,7 +46,7 @@ if not ckpt.exists():
 tensors, sections = load_checkpoint(ckpt)
 cfg = checkpoint_config(sections)
 model = build_model(cfg)
-load_model_params(model, cfg, tensors, sections)
+load_model_params(model, cfg, tensors, cfg)
 print(f"restored mode={cfg.mode} from epoch {sections['train_state']['epoch']} "
       f"(best val AUC {sections['train_state']['best_val_auc']:.4f})")
 

@@ -151,9 +151,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(args) -> int:
     tensors, sections = load_checkpoint(args.checkpoint)
-    cfg = apply_overrides(checkpoint_config(sections), args.set or [])
+    saved = checkpoint_config(sections)
+    cfg = apply_overrides(saved, args.set or [])
     model = build_model(cfg)
-    load_model_params(model, cfg, tensors, sections)
+    load_model_params(model, cfg, tensors, saved)
     dataset = _split(cfg, args.split)
     probs = predict_probs(model, stored_features(model, cfg.data_dir)[dataset.index])
     report = evaluate(probs, dataset.labels, param_report(model))

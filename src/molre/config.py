@@ -124,16 +124,24 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        """Plain JSON values: tuples become lists."""
         out = dataclasses.asdict(self)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+        for k, v in out.items():
+            if isinstance(v, tuple):
+                out[k] = list(v)
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - set(_FIELDS)
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}).validate()
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if f.name in d:
+                v = d[f.name]
+                kwargs[f.name] = tuple(v) if isinstance(v, list) else v
+        return cls(**kwargs).validate()
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -190,7 +198,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply repeatable `key=value` strings on top of a config."""
+    """A copy of cfg with repeatable `key=value` strings applied on top."""
+    cfg = dataclasses.replace(cfg)
     for ov in overrides:
         _assign(cfg, ov, "--set")
     return cfg.validate()

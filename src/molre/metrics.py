@@ -85,6 +85,10 @@ def evaluate(probs: np.ndarray, labels: np.ndarray, param_table=None) -> Metrics
     )
 
 
+def _size(part) -> int:
+    return sum(t.size for t in part.parameters().values())
+
+
 def param_report(model) -> list[tuple[str, int, bool]]:
     """(component, parameter count, trainable) rows plus totals. Compound
     components are broken out the way the parameter budget is usually
@@ -93,24 +97,17 @@ def param_report(model) -> list[tuple[str, int, bool]]:
     frozen = sum(t.size for t in model.frozen_parameters().values())
     rows.append(("backbone (frozen)", frozen, False))
     if getattr(model, "lora", None) is not None:
-        rows.append(
-            ("lora adapter", sum(t.size for t in model.lora.parameters().values()), True)
-        )
+        rows.append(("lora adapter", _size(model.lora), True))
     if getattr(model, "molre", None) is not None:
-        experts = sum(t.size for t in model.molre.bank.parameters().values())
-        router = sum(t.size for t in model.molre.router.parameters().values())
+        experts = _size(model.molre.bank)
+        router = _size(model.molre.router)
         rows.append(("molre experts", experts, True))
         rows.append(("molre router", router, True))
         rows.append(("molre total", experts + router, True))
     if getattr(model, "pooler", None) is not None:
-        rows.append(
-            ("pooler query", sum(t.size for t in model.pooler.parameters().values()), True)
-        )
-    rows.append(
-        ("classifier head", sum(t.size for t in model.head.parameters().values()), True)
-    )
-    trainable = sum(t.size for t in model.parameters().values())
-    rows.append(("total trainable", trainable, True))
+        rows.append(("pooler query", _size(model.pooler), True))
+    rows.append(("classifier head", _size(model.head), True))
+    rows.append(("total trainable", _size(model), True))
     rows.append(("total frozen", frozen, False))
     return rows
 
@@ -139,8 +136,5 @@ def write_report(report: MetricsReport, out_dir: Path) -> None:
     if report.param_table:
         lines.append("")
         lines.append(format_param_table(report.param_table))
-    with open(out_dir / "report.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(asdict(report), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(asdict(report), indent=1, sort_keys=True) + "\n")

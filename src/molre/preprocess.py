@@ -8,7 +8,7 @@ so a given stream position always maps to the same transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
@@ -61,13 +61,7 @@ def resample(sample: VolumeSample, target=DEFAULT_SPACING) -> VolumeSample:
     if any(t <= 0 for t in target):
         raise DataError(f"target spacing must be positive, got {target}")
     if tuple(sample.spacing) == tuple(target):
-        return VolumeSample(
-            sample.sample_id,
-            sample.voxels.copy(),
-            tuple(target),
-            sample.labels,
-            sample.stream_id,
-        )
+        return replace(sample, voxels=sample.voxels.copy(), spacing=tuple(target))
     # voxel axes are (S, H, W) = (z, y, x); spacing tuples are (x, y, z)
     src_sp = (sample.spacing[2], sample.spacing[1], sample.spacing[0])
     tgt_sp = (target[2], target[1], target[0])
@@ -78,9 +72,7 @@ def resample(sample: VolumeSample, target=DEFAULT_SPACING) -> VolumeSample:
         axes.append(np.arange(n_t, dtype=np.float64) * (st / ss))
     coords = np.meshgrid(*axes, indexing="ij")
     out = map_coordinates(sample.voxels, coords, order=1, mode="nearest")
-    return VolumeSample(
-        sample.sample_id, out, tuple(target), sample.labels, sample.stream_id
-    )
+    return replace(sample, voxels=out, spacing=tuple(target))
 
 
 @dataclass(frozen=True)
@@ -190,10 +182,4 @@ def augment(sample: VolumeSample, cfg: AugmentConfig, rng: RngStream) -> VolumeS
         if flips[axis]:
             v = np.flip(v, axis=axis)
 
-    return VolumeSample(
-        sample.sample_id,
-        np.ascontiguousarray(v),
-        sample.spacing,
-        sample.labels,
-        sample.stream_id,
-    )
+    return replace(sample, voxels=np.ascontiguousarray(v))

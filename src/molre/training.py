@@ -108,20 +108,20 @@ def checkpoint_config(sections: dict) -> RunConfig:
         raise CheckpointError(f"checkpoint config: {e}") from None
 
 
-def load_model_params(model, cfg: RunConfig, tensors: dict, sections: dict) -> None:
-    """Copy a checkpoint's parameters into `model`, which was built from `cfg`.
+def load_model_params(model, cfg: RunConfig, tensors: dict, saved: RunConfig) -> None:
+    """Copy a checkpoint's parameters into `model`, which was built from `cfg`;
+    `saved` is the checkpoint's own config (`checkpoint_config`).
 
-    Raises CheckpointError when the checkpoint's config cannot be read (see
-    `checkpoint_config`), naming the first model-block key on which it and
-    `cfg` differ, or the first parameter the checkpoint lacks or holds at
+    Raises CheckpointError naming the first model-block key on which `saved`
+    and `cfg` differ, or the first parameter the checkpoint lacks or holds at
     another shape; the model is untouched then.
     """
     # compared as plain JSON values, so a list and a tuple of the same ints match
-    saved, ours = checkpoint_config(sections).to_dict(), cfg.to_dict()
+    theirs, ours = saved.to_dict(), cfg.to_dict()
     for key in MODEL_KEYS:
-        if saved[key] != ours[key]:
+        if theirs[key] != ours[key]:
             raise CheckpointError(
-                f"checkpoint was trained with {key}={saved[key]!r}, "
+                f"checkpoint was trained with {key}={theirs[key]!r}, "
                 f"this run has {key}={ours[key]!r}"
             )
     params = model.parameters()
@@ -412,7 +412,7 @@ class Trainer:
 
     def load_state(self, path: str | Path) -> None:
         tensors, sections = load_checkpoint(path)
-        load_model_params(self.model, self.cfg, tensors, sections)
+        load_model_params(self.model, self.cfg, tensors, checkpoint_config(sections))
         state = sections["train_state"]
         self.optimizer.load_state(tensors, state["step_count"])
         self.epochs_done = int(state["epoch"])
@@ -425,3 +425,7 @@ class Trainer:
             for name, arr in tensors.items()
             if name.startswith("best.")
         }
+        if self.run_dir is not None and (log := self.run_dir / "metrics.jsonl").exists():
+            # the epochs after the checkpoint run again, so their records go
+            records = log.read_text().splitlines(keepends=True)
+            log.write_text("".join(r for r in records if json.loads(r)["epoch"] <= self.epochs_done))

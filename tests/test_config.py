@@ -7,6 +7,7 @@ from molre.config import (
     load_config,
     parse_config_text,
 )
+from molre.preprocess import AugmentConfig
 
 
 def test_defaults_match_protocol_constants():
@@ -20,6 +21,7 @@ def test_defaults_match_protocol_constants():
     assert cfg.lr_adapter == 1e-4
     assert cfg.min_epochs == 20
     assert cfg.patience == 5
+    assert AugmentConfig().mirror_p == 0.5  # what augment = true trains with
     cfg.validate()
 
 

@@ -130,7 +130,7 @@ def test_trainer_logs_jsonl_and_best_checkpoint(tmp_path):
     assert (tmp_path / "best.ckpt").exists()  # epoch 1 improved over -inf
 
 
-def test_a_resumed_run_appends_to_the_log_and_a_new_one_restarts_it(tmp_path):
+def test_a_resumed_run_rewinds_the_log_to_its_checkpoint_and_a_new_one_restarts_it(tmp_path):
     data = FakeDataset(8)
     cfg = tiny_cfg(min_epochs=4, max_epochs=4)
     log = tmp_path / "metrics.jsonl"
@@ -138,11 +138,15 @@ def test_a_resumed_run_appends_to_the_log_and_a_new_one_restarts_it(tmp_path):
     for _ in range(3):
         first.step_epoch()
     first.save_state(tmp_path / "mid.ckpt")
+    first.step_epoch()  # logged after the checkpoint, so a resume replays it
 
     resumed = Trainer(cfg, data, data, run_dir=tmp_path)
     resumed.load_state(tmp_path / "mid.ckpt")
+    assert [json.loads(l)["epoch"] for l in log.read_text().splitlines()] == [1, 2, 3]
     resumed.step_epoch()
-    assert [json.loads(l) for l in log.read_text().splitlines()] == first.history + resumed.history
+    # one record per epoch, the replayed one bitwise equal to the first run's
+    assert resumed.history == first.history[3:]
+    assert [json.loads(l) for l in log.read_text().splitlines()] == first.history
 
     again = Trainer(cfg, data, data, run_dir=tmp_path)
     again.train()
