@@ -154,7 +154,7 @@ class SliceModel(_Model):
 
     def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
         """Frozen trunk output for one windowed volume (M, S, H, W) -> (S, p)."""
-        return self.stub.trunk(np.ascontiguousarray(channels_vol.transpose(1, 0, 2, 3)))
+        return self.stub.trunk(channels_vol.swapaxes(0, 1))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Full forward from raw windowed volumes (B, M, S, H, W)."""

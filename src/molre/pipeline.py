@@ -4,7 +4,9 @@ and the classifier head.
 The stubs stand in for large pretrained feature extractors: their weights are
 drawn once from a seed and never receive gradients. `SliceBackbone` embeds
 single slices with 3x3 convs (the 2D path), `VolumeBackbone` embeds a whole
-volume with 3x3x3 convs (the 3D path); both end in a global mean pool, a row
+volume with 3x3x3 convs (the 3D path); both run one conv body that works
+channels-first (a padded copy, one strided copy per kernel tap into the
+column matrix, then `W @ cols`) and end in a global mean pool, a row
 standardization and a linear projection, written once in their shared base.
 The adapters replace or extend that final projection.
 
@@ -20,13 +22,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .preprocess import DEFAULT_WINDOWS
 from .rng import RngStream
 from .tensor import ShapeError, Tensor, sigmoid, softmax, softmax_backward
 
-_CHUNK = 256  # slices per im2col block, keeps the window buffers small
+_CHUNK = 256  # slices per conv block, keeps the padded and column buffers small
 _NORM_EPS = 1e-6
 
 
@@ -38,26 +39,31 @@ def _rownorm(z: np.ndarray) -> np.ndarray:
     return (z - mu) / (sd + _NORM_EPS)
 
 
-def _conv2d_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 stride-2 pad-1 convolution + ReLU via im2col."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
-    n, ci, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, ci * 9)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
-    np.maximum(out, 0.0, out=out)
-    return out.reshape(n, ho, wo, w.shape[0]).transpose(0, 3, 1, 2)
+def _conv_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3(x3) stride-2 pad-1 convolution + ReLU over any spatial rank.
+
+    Works channels-first: the (n, ci, *spatial) input is padded into a
+    zeroed (ci, n, *spatial+2) array, and the column matrix
+    (ci, 3, ..., 3, n, *out) is filled with one strided copy per kernel tap,
+    so `W @ cols` needs no transpose. Returns the (n, co, *out) view of the
+    (co, n, *out) result, which the next conv reads without a copy."""
+    n, ci, *spatial = x.shape
+    taps = (3,) * len(spatial)
+    out = [(s + 1) // 2 for s in spatial]
+    xp = np.zeros((ci, n, *(s + 2 for s in spatial)))
+    xp[(..., *(slice(1, -1) for _ in spatial))] = x.swapaxes(0, 1)
+    cols = np.empty((ci, *taps, n, *out))
+    for tap in np.ndindex(*taps):
+        cols[(slice(None), *tap)] = xp[(..., *(slice(k, k + 2 * o, 2) for k, o in zip(tap, out)))]
+    wm = w.reshape(w.shape[0], -1)
+    y = wm @ cols.reshape(wm.shape[1], -1)
+    y += b[:, None]
+    np.maximum(y, 0.0, out=y)
+    return y.reshape(wm.shape[0], n, *out).swapaxes(0, 1)
 
 
-def _conv3d_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3x3 stride-2 pad-1 convolution + ReLU via im2col."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3, 3), axis=(2, 3, 4))[:, :, ::2, ::2, ::2]
-    n, ci, so, ho, wo = win.shape[:5]
-    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(n * so * ho * wo, ci * 27)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
-    np.maximum(out, 0.0, out=out)
-    return out.reshape(n, so, ho, wo, w.shape[0]).transpose(0, 4, 1, 2, 3)
+# the names the trunks call (and perfbench traces), one body for both ranks
+_conv2d_relu = _conv3d_relu = _conv_relu
 
 
 class _Backbone:
@@ -109,6 +115,9 @@ class _Backbone:
             h = x[lo:lo + chunk]
             for w, b in zip(self.conv_w, self.conv_b):
                 h = conv(h, w.data, b.data)
+            # the mean sums in memory order: channels-last, as the features
+            # have always been summed
+            h = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, 1, -1)), -1, 1)
             outs.append(h.mean(axis=tuple(range(2, h.ndim))))
         return _rownorm(np.concatenate(outs, axis=0))
 

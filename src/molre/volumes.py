@@ -1,7 +1,7 @@
 """Volume samples, the on-disk voxel format, and dataset manifests.
 
-A dataset on disk is one `manifest.json` (sample ids, split assignment,
-labels, prevalence table) plus one binary file per volume:
+A dataset on disk is one `manifest.json` (volume shape, sample ids, split
+assignment, labels, prevalence table) plus one binary file per volume:
 
     magic "MLVX" | u32 version | u32 S, H, W | f32 spacing x, y, z
     | S*H*W little-endian f32 voxels, row-major
@@ -119,6 +119,8 @@ def _check_key(where: str, doc: dict, key: str, ok, what: str) -> None:
 # (key, check, what the check wants) for the manifest and for each sample
 _MANIFEST_KEYS = (
     ("num_classes", lambda v: _is_int(v) and v >= 1, "a positive int"),
+    ("volume_shape", lambda v: isinstance(v, list) and len(v) == 3
+     and all(_is_int(x) and x >= 1 for x in v), "a list of 3 positive ints"),
     ("samples", lambda v: isinstance(v, list), "a list"),
 )
 _SAMPLE_KEYS = (
@@ -132,7 +134,8 @@ _SAMPLE_KEYS = (
 
 def read_manifest(root: Path) -> dict:
     """The manifest of the dataset at `root`, schema-checked: a JSON object
-    with a positive int `num_classes` and a `samples` list whose entries each
+    with a positive int `num_classes`, the (S, H, W) `volume_shape` of every
+    volume, and a `samples` list whose entries each
     have a string `id`, `file` and `split`, `num_classes` 0/1 `labels` and
     an optional int `stream`. Raises DataError naming the key and sample."""
     path = Path(root) / MANIFEST_NAME
@@ -180,6 +183,7 @@ class DiskDataset:
             raise DataError(f"split {split!r} not present in {self.root}")
         self.split = split
         self.num_classes = manifest["num_classes"]
+        self.volume_shape = tuple(manifest["volume_shape"])
         self.rows = rows
         self.labels = np.array([r["labels"] for r in rows], dtype=np.uint8)
         self.ids = [r["id"] for r in rows]
@@ -189,6 +193,11 @@ class DiskDataset:
 
     def sample(self, i: int) -> VolumeSample:
         row = self.rows[i]
-        return read_volume(
-            self.root / row["file"], row["id"], row["labels"], row.get("stream", 0)
-        )
+        path = self.root / row["file"]
+        sample = read_volume(path, row["id"], row["labels"], row.get("stream", 0))
+        if sample.voxels.shape != self.volume_shape:
+            raise DataError(
+                f"{path}: volume is {sample.voxels.shape}, the manifest's volume_shape is "
+                f"{self.volume_shape}"
+            )
+        return sample

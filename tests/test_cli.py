@@ -7,7 +7,7 @@ import pytest
 from molre.checkpoint import load_checkpoint, save_checkpoint
 from molre.cli import _resolve_config, build_parser, main
 from molre.training import NumericalAbort
-from molre.volumes import DiskDataset
+from molre.volumes import DiskDataset, write_volume
 
 TINY = [
     "--set", "volume_shape=8,16,16",
@@ -244,6 +244,14 @@ def _truncate_vol(data_dir, ckpt):
     vol.write_bytes(vol.read_bytes()[:-100])
 
 
+def _vol_of_another_shape(data_dir, ckpt):
+    # the same study with two more slices, as a dataset of another volume_shape has it
+    row = json.loads((data_dir / "manifest.json").read_text())["samples"][4]
+    sample = DiskDataset(data_dir).sample(4)
+    sample.voxels = np.concatenate([sample.voxels, sample.voxels[:2]])
+    write_volume(data_dir / row["file"], sample)
+
+
 def _edit_ckpt(edit):
     def corrupt(data_dir, ckpt):
         raw = bytearray(ckpt.read_bytes())
@@ -303,6 +311,10 @@ BAD_INPUTS = [
      _edit_manifest(lambda m: m["samples"][3].pop("file")), "missing key 'file'"),
     ("vol-truncated", "eval", _truncate_vol, "truncated voxel payload"),
     ("vol-truncated-train", "train", _truncate_vol, "truncated voxel payload"),
+    ("vol-other-shape-train", "train", _vol_of_another_shape,
+     "synth-7-00004.vol: volume is (10, 16, 16), the manifest's volume_shape is (8, 16, 16)"),
+    ("vol-other-shape-train-3d", "train --set mode=molre3d", _vol_of_another_shape,
+     "synth-7-00004.vol: volume is (10, 16, 16), the manifest's volume_shape is (8, 16, 16)"),
     ("ckpt-truncated", "eval", _edit_ckpt(_truncate), "(truncated or corrupt checkpoint)"),
     ("ckpt-bit-flipped", "eval", _edit_ckpt(_flip_middle_bit), "fails its CRC32 check"),
     ("ckpt-overwritten-near-start", "eval", _edit_ckpt(_overwrite_near_start),
@@ -335,11 +347,12 @@ def test_bad_input_exits_data_error(trained, tmp_path, capsys, case, command, co
     shutil.copy(trained / "run" / "best.ckpt", ckpt)
     corrupt(data_dir, ckpt)
     capsys.readouterr()
+    command, *extra = command.split()
     if command == "eval":
         argv = ["eval", "--checkpoint", str(ckpt), "--set", f"data_dir={data_dir}"]
     else:
         argv = ["train", *TINY, "--set", f"data_dir={data_dir}"]
-    code = main([*argv, "--out", str(tmp_path / "out")])
+    code = main([*argv, *extra, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 3, err
     # a changed .vol file is first noticed by the feature store, on its own line

@@ -156,9 +156,10 @@ def test_store_key_covers_every_file_of_the_trunk_code():
     src = Path(molre.training.__file__).parent
     for name in molre.training.TRUNK_CODE:
         assert (src / name).is_file(), name
-    # the code behind trunk_cache: windowing, the stubs' convs and pooling,
-    # the models' trunk_features, and trunk_cache itself
-    for fn in (molre.training.hu_window, molre.pipeline._conv2d_relu, molre.pipeline._conv3d_relu,
+    # the code behind trunk_cache: windowing, the stubs' shared conv body
+    # and pooling, the models' trunk_features, and trunk_cache itself
+    for fn in (molre.training.hu_window, molre.pipeline._conv_relu, molre.pipeline._conv2d_relu,
+               molre.pipeline._conv3d_relu, molre.pipeline._Backbone._pooled,
                molre.model.SliceModel.trunk_features, molre.model.VolumeModel.trunk_features,
                molre.training.windowed, molre.training.trunk_cache):
         assert Path(fn.__code__.co_filename).name in molre.training.TRUNK_CODE, fn

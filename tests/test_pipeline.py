@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from molre.model import SliceModel, VolumeModel
+from numpy.lib.stride_tricks import sliding_window_view
+
 from molre.pipeline import (
+    _CHUNK,
     AttentionPooler,
     ClassifierHead,
     SliceBackbone,
     VolumeBackbone,
     _conv2d_relu,
     _conv3d_relu,
+    _conv_relu,
     _rownorm,
     slices_of,
 )
@@ -52,6 +56,77 @@ def test_conv3d_matches_naive_loop():
                 want[:, :, s, i, j] = np.einsum("ncsij,ocsij->no", patch, w) + b
     want = np.maximum(want, 0.0)
     assert np.allclose(_conv3d_relu(x, w, b), want, atol=1e-12)
+
+
+# -- the channels-first conv against the im2col convs it replaced ---------------
+
+
+def _im2col_conv2d(x, w, b):
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
+    n, ci, ho, wo = win.shape[:4]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, ci * 9)
+    out = cols @ w.reshape(w.shape[0], -1).T + b
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(n, ho, wo, w.shape[0]).transpose(0, 3, 1, 2)
+
+
+def _im2col_conv3d(x, w, b):
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3, 3), axis=(2, 3, 4))[:, :, ::2, ::2, ::2]
+    n, ci, so, ho, wo = win.shape[:5]
+    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(n * so * ho * wo, ci * 27)
+    out = cols @ w.reshape(w.shape[0], -1).T + b
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(n, so, ho, wo, w.shape[0]).transpose(0, 4, 1, 2, 3)
+
+
+def _layers(stub, x, conv):
+    """Every conv layer's output, then the pooled, standardized features."""
+    out = [x]
+    for w, b in zip(stub.conv_w, stub.conv_b):
+        out.append(conv(out[-1], w.data, b.data))
+    h = out[-1]
+    return out[1:], _rownorm(h.mean(axis=tuple(range(2, h.ndim))))
+
+
+# one windowed study (M, S, H, W) as each trunk takes it
+_AS_TRUNK_INPUT = {SliceBackbone: lambda v: v.swapaxes(0, 1), VolumeBackbone: lambda v: v[None]}
+_IM2COL = {SliceBackbone: _im2col_conv2d, VolumeBackbone: _im2col_conv3d}
+
+
+@pytest.mark.parametrize("backbone", [SliceBackbone, VolumeBackbone])
+def test_conv_is_bitwise_im2col_at_the_default_sizes(backbone):
+    # one 32x64x64 study through the default stub, channels 16/32/64
+    stub = backbone()
+    x = _AS_TRUNK_INPUT[backbone](np.random.default_rng(30).uniform(0, 1, (3, 32, 64, 64)))
+    want, want_feats = _layers(stub, x, _IM2COL[backbone])
+    got, _ = _layers(stub, x, _conv_relu)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert np.array_equal(stub.trunk(x), want_feats)
+
+
+def _assert_close(got, want):
+    # OpenBLAS sums small products in an order that depends on which operand
+    # is which, so the last bit may move at these sizes
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("backbone, shape", [
+    (SliceBackbone, (3, 7, 9, 17)),
+    (SliceBackbone, (3, _CHUNK + 13, 9, 17)),  # the trunk runs two blocks
+    (VolumeBackbone, (3, 7, 9, 17)),
+])
+def test_conv_matches_im2col_at_odd_sizes(backbone, shape):
+    stub = backbone(channels=(5, 7, 11))
+    x = _AS_TRUNK_INPUT[backbone](np.random.default_rng(31).uniform(0, 1, shape))
+    want, want_feats = _layers(stub, x, _IM2COL[backbone])
+    got, _ = _layers(stub, x, _conv_relu)
+    for g, w in zip(got, want):
+        _assert_close(g, w)
+    _assert_close(stub.trunk(x), want_feats)
 
 
 def test_rownorm_standardizes_rows():

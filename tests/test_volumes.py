@@ -95,7 +95,7 @@ def _write_dataset(tmp_path, n=4):
             "file": fname,
             "stream": i,
         })
-    write_manifest(tmp_path, {"num_classes": 3, "samples": rows})
+    write_manifest(tmp_path, {"num_classes": 3, "volume_shape": [3, 4, 5], "samples": rows})
     return rows
 
 
@@ -121,6 +121,16 @@ def test_disk_dataset_split_view(tmp_path):
     s = train.sample(2)
     assert s.sample_id == "s002" and s.stream_id == 2
     assert np.array_equal(s.voxels, _sample("s002", seed=2).voxels)
+
+
+def test_disk_dataset_rejects_a_volume_of_another_shape(tmp_path):
+    rows = _write_dataset(tmp_path)
+    write_volume(tmp_path / rows[1]["file"], _sample("s001", shape=(4, 4, 5), seed=1))
+    train = DiskDataset(tmp_path, "train")
+    train.sample(0)
+    with pytest.raises(DataError, match=re.escape(
+            "s001.mlvx: volume is (4, 4, 5), the manifest's volume_shape is (3, 4, 5)")):
+        train.sample(1)
 
 
 def test_disk_dataset_missing_split(tmp_path):
@@ -155,6 +165,8 @@ def test_written_files_get_the_umask_permissions(tmp_path, umask):
 @pytest.mark.parametrize("edit, says", [
     (lambda m: m.pop("num_classes"), "missing key 'num_classes'"),
     (lambda m: m.update(samples={}), "'samples' must be a list"),
+    (lambda m: m.pop("volume_shape"), "missing key 'volume_shape'"),
+    (lambda m: m.update(volume_shape=[3, 4]), "'volume_shape' must be a list of 3 positive ints"),
     (lambda m: m["samples"].append(3), "sample 4 must be an object, got int"),
     (lambda m: m["samples"][1].pop("split"), "sample 1 ('s001'): missing key 'split'"),
     (lambda m: m["samples"][2].update(labels=[1, 0, 2]), "sample 2 ('s002'): 'labels' must be a list of 0/1"),
