@@ -94,7 +94,7 @@ def param_report(model) -> list[tuple[str, int, bool]]:
     components are broken out the way the parameter budget is usually
     discussed: backbone, adapter, experts, router, pooling query, head."""
     rows: list[tuple[str, int, bool]] = []
-    frozen = sum(t.size for t in model.frozen_parameters().values())
+    frozen = sum(t.size for t in model.stub.frozen_parameters().values())
     rows.append(("backbone (frozen)", frozen, False))
     if getattr(model, "lora", None) is not None:
         rows.append(("lora adapter", _size(model.lora), True))

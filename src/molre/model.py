@@ -132,13 +132,6 @@ class _Model:
             groups[group].update(part.parameters())
         return groups
 
-    def frozen_parameters(self) -> dict[str, Tensor]:
-        return self.stub.frozen_parameters()
-
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.zero_grad()
-
 
 class SliceModel(_Model):
     """2D path: per-slice features, optional adapter, attention pooling, head.

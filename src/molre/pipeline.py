@@ -4,11 +4,13 @@ and the classifier head.
 The stubs stand in for large pretrained feature extractors: their weights are
 drawn once from a seed and never receive gradients. `SliceBackbone` embeds
 single slices with 3x3 convs (the 2D path), `VolumeBackbone` embeds a whole
-volume with 3x3x3 convs (the 3D path); both run one conv body that works
-channels-first (a padded copy, one strided copy per kernel tap into the
-column matrix, then `W @ cols`) and end in a global mean pool, a row
-standardization and a linear projection, written once in their shared base.
-The adapters replace or extend that final projection.
+volume with 3x3x3 convs (the 3D path). Both run one channels-first conv body
+(a padded copy, one strided copy per kernel tap into the column matrix, then
+`W @ cols`) depth-first: every conv over one block of inputs, then the next
+block. A block holds as many inputs as keep its largest column matrix within
+_BLOCK_BYTES, and at least one: 7 slices or 1 volume at 32x64x64. Then come a
+global mean pool, a row standardization and a linear projection, written once
+in their shared base; the adapters replace or extend that projection.
 
 `AttentionPooler` collapses a volume's S slice features into one vector with
 a single learnable query; `ClassifierHead` scores the C findings with
@@ -27,7 +29,7 @@ from .preprocess import DEFAULT_WINDOWS
 from .rng import RngStream
 from .tensor import ShapeError, Tensor, sigmoid, softmax, softmax_backward
 
-_CHUNK = 256  # slices per conv block, keeps the padded and column buffers small
+_BLOCK_BYTES = 2 << 20  # about one core's L2
 _NORM_EPS = 1e-6
 
 
@@ -104,15 +106,20 @@ class _Backbone:
         )
         self.proj_b = Tensor(np.zeros(feature_dim))
 
-    def _pooled(self, x, layout: str, chunk: int, conv) -> np.ndarray:
-        """Run the convs over `chunk` inputs at a time, mean-pool every
-        spatial axis, and standardize each row."""
+    def _pooled(self, x, layout: str, conv) -> np.ndarray:
+        """Run the convs depth-first over blocks of inputs (see the module
+        docstring), mean-pool every spatial axis, and standardize each row."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 + len(self.kernel) or x.shape[1] != self.in_channels:
             raise ShapeError(f"backbone expects {layout.format(self.in_channels)}, got {x.shape}")
+        cols, spatial = [], x.shape[2:]
+        for ci in (self.in_channels, *self.channels[:-1]):
+            spatial = [(s + 1) // 2 for s in spatial]
+            cols.append(8 * ci * math.prod(self.kernel) * math.prod(spatial))
+        block = max(1, _BLOCK_BYTES // max(cols))
         outs = []
-        for lo in range(0, x.shape[0], chunk):
-            h = x[lo:lo + chunk]
+        for lo in range(0, x.shape[0], block):
+            h = x[lo:lo + block]
             for w, b in zip(self.conv_w, self.conv_b):
                 h = conv(h, w.data, b.data)
             # the mean sums in memory order: channels-last, as the features
@@ -142,7 +149,7 @@ class SliceBackbone(_Backbone):
 
     def trunk(self, x: np.ndarray) -> np.ndarray:
         """Map slices (N, M, H, W) to pre-projection features (N, trunk_dim)."""
-        return self._pooled(x, "(N, {}, H, W)", _CHUNK, _conv2d_relu)
+        return self._pooled(x, "(N, {}, H, W)", _conv2d_relu)
 
 
 class VolumeBackbone(_Backbone):
@@ -153,7 +160,7 @@ class VolumeBackbone(_Backbone):
 
     def trunk(self, x: np.ndarray) -> np.ndarray:
         """Map volumes (N, M, S, H, W) to pooled features (N, trunk_dim)."""
-        return self._pooled(x, "(N, {}, S, H, W)", 8, _conv3d_relu)
+        return self._pooled(x, "(N, {}, S, H, W)", _conv3d_relu)
 
 
 class AttentionPooler:

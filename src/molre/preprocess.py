@@ -44,8 +44,10 @@ def hu_window(voxels: np.ndarray, windows=DEFAULT_WINDOWS) -> np.ndarray:
     to its window and scaled linearly to [0, 1]."""
     voxels = np.asarray(voxels, dtype=np.float64)
     out = np.empty((len(windows),) + voxels.shape, dtype=np.float64)
-    for m, w in enumerate(windows):
-        out[m] = (np.clip(voxels, w.lo, w.hi) - w.lo) / (w.hi - w.lo)
+    for o, w in zip(out, windows):
+        np.clip(voxels, w.lo, w.hi, out=o)
+        o -= w.lo
+        o /= w.hi - w.lo
     return out
 
 

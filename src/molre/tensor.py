@@ -48,10 +48,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def requires_grad(self) -> bool:
-        return self.grad is not None
-
     @classmethod
     def zeros(cls, shape: Sequence[int], requires_grad: bool = False) -> "Tensor":
         return cls(np.zeros(shape, dtype=np.float64), requires_grad)

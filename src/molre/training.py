@@ -169,7 +169,7 @@ def stored_features(model, root: str | Path) -> np.ndarray:
     computed features are returned all the same."""
     everything = DiskDataset(root)
     h = hashlib.sha256()
-    for name, t in model.frozen_parameters().items():
+    for name, t in model.stub.frozen_parameters().items():
         if name.startswith("backbone.conv"):  # the projection runs after the store
             h.update(f"{name}{t.data.shape}".encode())
             h.update(t.data.tobytes())

@@ -108,7 +108,7 @@ def test_param_report_totals_consistent():
         live = sum(t.size for t in m.parameters().values())
         assert rows["total trainable"] == live
         assert rows["backbone (frozen)"] == sum(
-            t.size for t in m.frozen_parameters().values()
+            t.size for t in m.stub.frozen_parameters().values()
         )
         if mode == "molre":
             assert rows["molre total"] == rows["molre experts"] + rows["molre router"]

@@ -90,7 +90,6 @@ def test_slice_model_backward_matches_finite_diff(mode):
     z = rng.normal(size=(2, 3, 64))
     g = rng.normal(size=(2, 4))
 
-    m.zero_grad()
     probs, cache = m.forward_trunk_cached(z)
     m.backward(cache, g)
 
@@ -133,7 +132,6 @@ def test_volume_model_backward_matches_finite_diff():
     z = rng.normal(size=(3, 64))
     g = rng.normal(size=(3, 4))
 
-    m.zero_grad()
     probs, cache = m.forward_trunk_cached(z)
     m.backward(cache, g)
 

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import molre.pipeline
 from molre.model import SliceModel, VolumeModel
 from numpy.lib.stride_tricks import sliding_window_view
 
 from molre.pipeline import (
-    _CHUNK,
+    _BLOCK_BYTES,
     AttentionPooler,
     ClassifierHead,
     SliceBackbone,
@@ -16,6 +22,7 @@ from molre.pipeline import (
     _rownorm,
     slices_of,
 )
+from molre.preprocess import DEFAULT_WINDOWS
 from molre.rng import RngStream
 from molre.tensor import ShapeError, finite_diff_grad, sigmoid
 
@@ -116,7 +123,9 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("backbone, shape", [
     (SliceBackbone, (3, 7, 9, 17)),
-    (SliceBackbone, (3, _CHUNK + 13, 9, 17)),  # the trunk runs two blocks
+    # two blocks: at 9x17, conv0's column matrix is the largest, 3 channels
+    # x 9 taps x 5x9 outputs of 8 bytes per slice
+    (SliceBackbone, (3, _BLOCK_BYTES // (8 * 3 * 9 * 5 * 9) + 13, 9, 17)),
     (VolumeBackbone, (3, 7, 9, 17)),
 ])
 def test_conv_matches_im2col_at_odd_sizes(backbone, shape):
@@ -127,6 +136,74 @@ def test_conv_matches_im2col_at_odd_sizes(backbone, shape):
     for g, w in zip(got, want):
         _assert_close(g, w)
     _assert_close(stub.trunk(x), want_feats)
+
+
+@pytest.fixture
+def conv_blocks(monkeypatch):
+    """The number of inputs in each block the trunks run, from their first
+    conv's calls."""
+    blocks = []
+
+    def counted(x, w, b):
+        if x.shape[1] == len(DEFAULT_WINDOWS):
+            blocks.append(x.shape[0])
+        return _conv_relu(x, w, b)
+
+    monkeypatch.setattr(molre.pipeline, "_conv2d_relu", counted)
+    monkeypatch.setattr(molre.pipeline, "_conv3d_relu", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("budget, blocks", [
+    (1, [1] * 32),  # below one slice's column matrix: one slice a block
+    # conv1's column matrix is the largest, 16 channels x 9 taps x 16x16
+    # outputs of 8 bytes, 288 KiB a slice
+    (_BLOCK_BYTES, [7, 7, 7, 7, 4]),
+    (32 * 8 * 16 * 9 * 16 * 16, [32]),  # the whole study
+])
+def test_2d_trunk_is_bitwise_equal_over_any_block(monkeypatch, conv_blocks, budget, blocks):
+    stub = SliceBackbone()
+    x = np.random.default_rng(32).uniform(0, 1, (3, 32, 64, 64)).swapaxes(0, 1)
+    want = stub.trunk(x)
+    del conv_blocks[:]
+    monkeypatch.setattr(molre.pipeline, "_BLOCK_BYTES", budget)
+    assert np.array_equal(stub.trunk(x), want)
+    assert conv_blocks == blocks
+
+
+@pytest.mark.parametrize("budget", [_BLOCK_BYTES, 1 << 40])
+def test_3d_batch_is_bitwise_equal_to_each_volume(monkeypatch, conv_blocks, budget):
+    # one 32x64x64 volume's conv0 column matrix already exceeds the budget,
+    # so the default runs one volume a block; 1 << 40 runs the batch as one
+    model = VolumeModel()
+    vols = np.random.default_rng(33).uniform(0, 1, (3, 3, 32, 64, 64))
+    want = np.stack([model.trunk_features(v) for v in vols])
+    del conv_blocks[:]
+    monkeypatch.setattr(molre.pipeline, "_BLOCK_BYTES", budget)
+    assert np.array_equal(model.stub.trunk(vols), want)
+    assert conv_blocks == ([1, 1, 1] if budget == _BLOCK_BYTES else [3])
+
+
+def test_2d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
+    # one child process under OPENBLAS_NUM_THREADS=1 against this process's
+    # default thread count
+    x = np.random.default_rng(34).uniform(0, 1, (3, 32, 64, 64))
+    np.save(tmp_path / "x.npy", x)
+    script = (
+        "import sys, numpy as np\n"
+        "from molre.model import SliceModel\n"
+        "x = np.load(sys.argv[1])\n"
+        "np.save(sys.argv[2], SliceModel().trunk_features(x))\n"
+    )
+    src = str(Path(molre.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "x.npy"), str(tmp_path / "z.npy")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert np.array_equal(np.load(tmp_path / "z.npy"), SliceModel().trunk_features(x))
 
 
 def test_rownorm_standardizes_rows():

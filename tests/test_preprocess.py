@@ -45,6 +45,14 @@ def test_window_default_three_channels():
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def test_window_is_bitwise_the_out_of_place_expression():
+    # HU values across and beyond every default window, at a study's shape
+    v = np.random.default_rng(0).uniform(-1500.0, 2500.0, (32, 64, 64))
+    out = hu_window(v)
+    for m, w in enumerate(DEFAULT_WINDOWS):
+        assert np.array_equal(out[m], (np.clip(v, w.lo, w.hi) - w.lo) / (w.hi - w.lo))
+
+
 def test_window_spec_validation():
     with pytest.raises(DataError):
         WindowSpec(10.0, 10.0)

@@ -16,7 +16,7 @@ def test_tensor_wraps_float64_contiguous():
     assert t.data.flags["C_CONTIGUOUS"]
     assert t.shape == (2, 2)
     assert t.size == 4
-    assert not t.requires_grad
+    assert t.grad is None
 
 
 def test_grad_buffer_lifecycle():
