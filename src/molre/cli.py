@@ -6,12 +6,13 @@ parameter accounting.
     molre eval         --checkpoint best.ckpt [--split test] [--set k=v ...] [--out DIR]
     molre count-params [--config c.cfg] [--set k=v ...]
 
-`train` and `eval` read the frozen trunk's features from the dataset's
-feature store (`training.stored_features`): `features-<trunk>-<digest>.ckpt`
-next to `manifest.json`, built by the first command that needs it and
-rebuilt, with one line on stderr, when a `.vol` file or the trunk's code
-changed or the store fails its checksums. Deleting the file only costs one
-rebuild.
+`train` and `eval` read the manifest once and the frozen trunk's features
+from the dataset's feature store (`training.stored_features`):
+`features-<trunk>-<digest>.ckpt` next to `manifest.json`, built by the first
+command that needs it and rebuilt, with one line on stderr, when the
+trunk's code, a `.vol` file's name or size, or the bytes of a `.vol` the
+command serves changed (eval: its split's; train: train and val), or the
+store fails its checksums. Deleting the file only costs one rebuild.
 
 `eval` rebuilds the run from the checkpoint's own config, with any `--set`
 applied on top.
@@ -64,12 +65,12 @@ def _resolve_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _split(cfg: RunConfig, split: str) -> DiskDataset:
-    """One split of the dataset at cfg.data_dir, which must have the run's
-    class count."""
+def _dataset(cfg: RunConfig) -> DiskDataset:
+    """Every row of the dataset at cfg.data_dir, which must have the run's
+    class count; its splits share this one read of the manifest."""
     if not cfg.data_dir:
         raise DataError("no data_dir: pass --set data_dir=DIR naming a synthesized dataset")
-    data = DiskDataset(cfg.data_dir, split)
+    data = DiskDataset(cfg.data_dir)
     if data.num_classes != cfg.num_classes:
         raise DataError(
             f"{cfg.data_dir} has {data.num_classes} classes, the run has "
@@ -131,13 +132,14 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    train_data, val_data = _split(cfg, "train"), _split(cfg, "val")
+    data = _dataset(cfg)
+    train_data, val_data = (DiskDataset(data.root, s, data.manifest) for s in ("train", "val"))
     run_dir = Path(cfg.out_dir)
     # every model of cfg has the frozen trunk of build_model(cfg)
-    feats = stored_features(build_model(cfg), cfg.data_dir)
+    feats = stored_features(build_model(cfg), data, train_data.index + val_data.index)
     trainer = Trainer(
         cfg, train_data, val_data, run_dir=run_dir,
-        train_cache=feats[train_data.index], val_cache=feats[val_data.index],
+        train_cache=feats[:len(train_data)], val_cache=feats[len(train_data):],
     )
     result = trainer.train()
     trainer.save_state(run_dir / "last.ckpt")
@@ -155,8 +157,8 @@ def cmd_eval(args) -> int:
     cfg = apply_overrides(saved, args.set or [])
     model = build_model(cfg)
     load_model_params(model, cfg, tensors, saved)
-    dataset = _split(cfg, args.split)
-    probs = predict_probs(model, stored_features(model, cfg.data_dir)[dataset.index])
+    dataset = DiskDataset(cfg.data_dir, args.split, _dataset(cfg).manifest)
+    probs = predict_probs(model, stored_features(model, dataset, dataset.index))
     report = evaluate(probs, dataset.labels, param_report(model))
     out_dir = Path(args.out or cfg.out_dir)
     write_report(report, out_dir)

@@ -154,20 +154,22 @@ def trunk_cache(model, dataset) -> np.ndarray:
 TRUNK_CODE = ("preprocess.py", "pipeline.py", "model.py", "training.py")
 
 
-def stored_features(model, root: str | Path) -> np.ndarray:
-    """Frozen-trunk features of every sample of the on-disk dataset at
-    `root`, in manifest order, as `trunk_cache` gives them, read from the
-    dataset's feature store; `features[dataset.index]` are a split's.
+def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndarray:
+    """Frozen-trunk features of manifest rows `rows` (default: all), in that
+    order, as `trunk_cache` gives them, from the feature store of the dataset
+    at `root`: a directory, or a DiskDataset whose manifest is not re-read.
 
     The store is `features-<trunk>-<digest>.ckpt` next to manifest.json. Its
     name holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256
     of the trunk's frozen conv parameters and DEFAULT_WINDOWS; the file also
-    records the SHA-256 of the TRUNK_CODE files and the CRC32 of every .vol
-    file. A missing store is built. One that fails its checksums, or was
-    built by other code or from other .vol bytes, is rebuilt with one line
-    on stderr; it is never served. If the store cannot be written, the
-    computed features are returned all the same."""
-    everything = DiskDataset(root)
+    records the SHA-256 of the TRUNK_CODE files and each row's .vol file
+    name, size and CRC32. A call reads and CRCs the .vol files of `rows`
+    only. A missing store is built from every row. One that fails its
+    checksums, or was built by other code or from other .vol files, is
+    rebuilt with one line on stderr; it is never served. If the store cannot
+    be written, the computed features are returned all the same."""
+    everything = (DiskDataset(root.root, manifest=root.manifest) if isinstance(root, DiskDataset)
+                  else DiskDataset(root))
     h = hashlib.sha256()
     for name, t in model.stub.frozen_parameters().items():
         if name.startswith("backbone.conv"):  # the projection runs after the store
@@ -184,7 +186,8 @@ def stored_features(model, root: str | Path) -> np.ndarray:
     for name in TRUNK_CODE:
         code.update((Path(__file__).parent / name).read_bytes())
     key["code_sha256"] = code.hexdigest()
-    key["vol_crc32"] = [zlib.crc32((everything.root / r["file"]).read_bytes()) for r in everything.rows]
+    files = [everything.root / r["file"] for r in everything.rows]
+    key["vols"] = [[r["file"], f.stat().st_size] for r, f in zip(everything.rows, files)]
 
     feats = None
     if path.exists():
@@ -193,23 +196,28 @@ def stored_features(model, root: str | Path) -> np.ndarray:
         except CheckpointError as e:
             print(f"feature store rejected ({e}); rebuilding", file=sys.stderr)
         else:
-            built = sections.get("key")
-            if built == key and "features" in tensors:
+            built = sections.get("key") if isinstance(sections.get("key"), dict) else {}
+            differs = [k for k in key if built.get(k) != key[k]]
+            if not differs and any(built["vol_crc32"][i] != zlib.crc32(files[i].read_bytes())
+                                   for i in (range(len(files)) if rows is None else rows)):
+                differs = ["vol_crc32"]
+            if not differs and "features" in tensors:
                 feats = tensors["features"]
             else:
                 # the name's digest covers the rest of the key
-                other = [what for k, what in (("code_sha256", "trunk code"), ("vol_crc32", ".vol files"))
-                         if not isinstance(built, dict) or built.get(k) != key[k]]
+                other = [what for k, what in (("code_sha256", "trunk code"), ("vols", ".vol files"),
+                                              ("vol_crc32", ".vol files")) if k in differs]
                 print(f"feature store {path} was built from other {' and '.join(other) or 'data'}; "
                       "rebuilding", file=sys.stderr)
     if feats is None:
+        key["vol_crc32"] = [zlib.crc32(f.read_bytes()) for f in files]
         feats = trunk_cache(model, everything)
         try:
             save_checkpoint(path, {"features": feats}, {"key": key})
         except OSError as e:
             print(f"feature store not written ({e}); using the computed features",
                   file=sys.stderr)
-    return feats
+    return feats if rows is None else feats[rows]
 
 
 def predict_probs(model, z: np.ndarray) -> np.ndarray:

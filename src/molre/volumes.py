@@ -170,11 +170,11 @@ def read_manifest(root: Path) -> dict:
 class DiskDataset:
     """Lazy view over one split of an on-disk dataset, or over every sample
     in manifest order when `split` is None. `index` holds each row's
-    position in the manifest."""
+    position in the manifest; a `manifest` already read is not read again."""
 
-    def __init__(self, root: Path, split: str | None = None):
+    def __init__(self, root: Path, split: str | None = None, manifest: dict | None = None):
         self.root = Path(root)
-        manifest = read_manifest(self.root)
+        self.manifest = manifest = read_manifest(self.root) if manifest is None else manifest
         self.index = [
             i for i, r in enumerate(manifest["samples"]) if split is None or r["split"] == split
         ]

@@ -1,6 +1,7 @@
 """The on-disk feature store: `training.stored_features` and its use by
 `molre train` / `molre eval`."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import molre
 import molre.model
 import molre.pipeline
 import molre.training
+import molre.volumes
 from molre.cli import main
 from molre.config import RunConfig
 from molre.pipeline import SliceBackbone, VolumeBackbone
@@ -178,3 +180,143 @@ def test_unwritable_store_still_trains(data_dir, tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "feature store not written (read-only data dir)" in capsys.readouterr().err
     assert _stores(data_dir) == []
+
+
+# -- a command checks the rows it serves ------------------------------------
+
+
+def _files(data_dir: Path, *splits: str) -> list[str]:
+    rows = json.loads((data_dir / "manifest.json").read_text())["samples"]
+    return sorted(r["file"] for r in rows if r["split"] in splits)
+
+
+def _flip_a_vol_byte(data_dir: Path, split: str) -> None:
+    vol = data_dir / _files(data_dir, split)[0]
+    raw = bytearray(vol.read_bytes())
+    raw[-4] ^= 0x01  # low mantissa bit of the last f32 voxel: still a valid volume
+    vol.write_bytes(bytes(raw))
+
+
+@pytest.fixture
+def trained(data_dir, tmp_path):
+    """A run trained on data_dir, which built the 2D store."""
+    run = tmp_path / "run"
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(run)]) == 0
+    return run
+
+
+def _eval(run: Path, out: Path) -> bytes:
+    assert main(["eval", "--checkpoint", str(run / "best.ckpt"), "--split", "test",
+                 "--out", str(out)]) == 0
+    return (out / "report.json").read_bytes()
+
+
+@pytest.fixture
+def vol_reads(monkeypatch):
+    """Names of the .vol files read whole, as the store's CRC32 check reads
+    them (`read_volume` opens its file instead)."""
+    reads = []
+    real = Path.read_bytes
+
+    def counted(self):
+        if self.suffix == ".vol":
+            reads.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    return reads
+
+
+def test_a_command_crcs_the_rows_it_serves(data_dir, tmp_path, vol_reads, trunk_calls):
+    train = ["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "run")]
+    assert main(train) == 0
+    # the build CRCs and embeds every row
+    assert sorted(vol_reads) == _files(data_dir, "train", "val", "test") and len(trunk_calls) == 12
+    del vol_reads[:], trunk_calls[:]
+    assert main(train) == 0
+    assert sorted(vol_reads) == _files(data_dir, "train", "val")
+    del vol_reads[:]
+    _eval(tmp_path / "run", tmp_path / "eval")
+    assert sorted(vol_reads) == _files(data_dir, "test")
+    assert trunk_calls == []
+
+
+def test_a_command_reads_the_manifest_once(data_dir, tmp_path, monkeypatch):
+    reads = []
+    real = molre.volumes.read_manifest
+
+    def counted(root):
+        reads.append(root)
+        return real(root)
+
+    monkeypatch.setattr(molre.volumes, "read_manifest", counted)
+    train = ["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "run")]
+    assert main(train) == 0 and len(reads) == 1  # builds the store
+    del reads[:]
+    assert main(train) == 0 and len(reads) == 1  # reads it
+    del reads[:]
+    _eval(tmp_path / "run", tmp_path / "eval")
+    assert len(reads) == 1
+
+
+def test_a_changed_test_vol_rebuilds_for_eval(data_dir, trained, tmp_path, trunk_calls, capsys):
+    _flip_a_vol_byte(data_dir, "test")
+    del trunk_calls[:]
+    capsys.readouterr()
+    rebuilt = _eval(trained, tmp_path / "rebuilt")
+    err = capsys.readouterr().err
+    assert "was built from other .vol files; rebuilding" in err and err.count("\n") == 1
+    assert len(trunk_calls) == 12
+    for store in data_dir.glob("features-*.ckpt"):
+        store.unlink()
+    assert _eval(trained, tmp_path / "fresh") == rebuilt
+
+
+def test_a_changed_train_vol_waits_for_train(data_dir, trained, tmp_path, trunk_calls, capsys):
+    before = _eval(trained, tmp_path / "before")
+    _flip_a_vol_byte(data_dir, "train")
+    del trunk_calls[:]
+    capsys.readouterr()
+    assert _eval(trained, tmp_path / "after") == before
+    assert trunk_calls == [] and capsys.readouterr().err == ""
+    # the next command that serves the row rebuilds
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "r2")]) == 0
+    err = capsys.readouterr().err
+    assert "was built from other .vol files; rebuilding" in err and err.count("\n") == 1
+    assert len(trunk_calls) == 12
+
+
+def test_swapped_file_names_rebuild(data_dir, trained, tmp_path, trunk_calls, capsys):
+    path = data_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    rows = manifest["samples"]
+    assert rows[0]["split"] == rows[1]["split"] == "train"
+    rows[0]["file"], rows[1]["file"] = rows[1]["file"], rows[0]["file"]
+    path.write_text(json.dumps(manifest))
+    del trunk_calls[:]
+    capsys.readouterr()
+    _eval(trained, tmp_path / "eval")  # serves the test rows, whose bytes are unchanged
+    err = capsys.readouterr().err
+    assert "was built from other .vol files; rebuilding" in err and err.count("\n") == 1
+    assert len(trunk_calls) == 12
+    model = build_model(RunConfig())
+    assert np.array_equal(stored_features(model, data_dir), trunk_cache(model, DiskDataset(data_dir)))
+
+
+def test_a_broken_vol_fails_the_command_that_notices_it(data_dir, trained, tmp_path, capsys):
+    vol = data_dir / _files(data_dir, "train")[0]
+    good = vol.read_bytes()
+    # an overwritten header keeps the size: noticed by the first command that serves the row
+    vol.write_bytes(b"XXXX" + good[4:])
+    before = _eval(trained, tmp_path / "before")
+    train = ["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "r2")]
+    capsys.readouterr()
+    assert main(train) == 3
+    assert capsys.readouterr().err.splitlines()[-1].endswith("bad magic b'XXXX'")
+    # a truncated file has another size: noticed by every command
+    vol.write_bytes(good[:-100])
+    assert main(["eval", "--checkpoint", str(trained / "best.ckpt"), "--split", "test",
+                 "--out", str(tmp_path / "after")]) == 3
+    assert "truncated voxel payload" in capsys.readouterr().err.splitlines()[-1]
+    vol.write_bytes(good)
+    assert _eval(trained, tmp_path / "again") == before
