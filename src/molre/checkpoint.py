@@ -16,17 +16,21 @@ container holds training checkpoints and the trunk feature store.
 A file that fails any check raises CheckpointError: bad magic, another
 format version, a size that runs past the end of the file, bytes left after
 the last record, or a record whose CRC32 does not match, which names the
-record. Every single flipped bit is caught by one of these.
+record. Every single flipped bit is caught by one of these. A read given
+`names` CRCs and decodes only the tensor records so named, and every JSON
+record; it still walks every record header, checks every size against the
+file and rejects trailing bytes, so a truncated file is always caught, but
+a flipped bit in a record it skips is not. Files are read with `read` and
+`seek`, not mapped: a file cut short under a map kills its reader.
 
-Version 3 added the per-record CRC32. Version 2 (no CRC32) and version 1
-(one `experts.{i}.A` / `experts.{i}.B` pair per expert where version 2 has
-the stacked `experts.A` / `experts.B`) are rejected. Files are written
-atomically, through `volumes.atomic_write`."""
+Version 3 added the per-record CRC32; versions 1 and 2 are rejected. Files
+are written atomically, through `volumes.atomic_write`."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -81,59 +85,71 @@ def save_checkpoint(
 
 
 class _Reader:
-    """Cursor over a checkpoint's bytes; every read is bounds-checked."""
+    """Reads an open checkpoint front to back, checking every size against the
+    file's length first; `crc` runs over the bytes read since it was reset."""
 
-    def __init__(self, path: Path, raw: bytes):
-        self.path, self.raw, self.pos = path, memoryview(raw), 0
+    def __init__(self, path: Path, fh):
+        self.path, self.fh, self.crc = path, fh, 0
+        self.size = os.fstat(fh.fileno()).st_size
 
-    def take(self, n: int, what: str) -> memoryview:
-        if n > len(self.raw) - self.pos:
+    def take(self, n: int, what: str, skip: bool = False) -> bytearray:
+        if n > self.size - self.fh.tell():
             raise CheckpointError(f"{self.path}: {what} runs past the end of the file "
                                   "(truncated or corrupt checkpoint)")
-        self.pos += n
-        return self.raw[self.pos - n:self.pos]
+        buf = bytearray(0 if skip else n)
+        if self.fh.readinto(buf) != len(buf):
+            raise CheckpointError(f"{self.path}: the file shrank while {what} was read")
+        self.fh.seek(n - len(buf), os.SEEK_CUR)
+        self.crc = zlib.crc32(buf, self.crc)
+        return buf
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
+def load_checkpoint(path: str | Path, names=None) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
+    """The tensors and JSON sections of the checkpoint at `path`; with `names`,
+    only the tensor records so named (see the module docstring)."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
-    r = _Reader(path, path.read_bytes())
-    if bytes(r.take(4, "magic")) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    version, count = r.unpack("<II", "header")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version}, this build reads {CHECKPOINT_VERSION}"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    sections: dict[str, dict] = {}
-    for _ in range(count):
-        start = r.pos
-        kind, name_len = r.unpack("<BH", "record header")
-        raw_name = bytes(r.take(name_len, "record name"))
-        label = raw_name.decode("utf-8", errors="replace")
-        if kind == _KIND_TENSOR:
-            (ndim,) = r.unpack("<B", f"ndim of {label!r}")
-            dims = r.unpack(f"<{ndim}Q", f"dims of {label!r}")
-            payload = r.take(8 * math.prod(dims), f"tensor {label!r}")
-        elif kind == _KIND_JSON:
-            (blen,) = r.unpack("<Q", f"length of {label!r}")
-            payload = r.take(blen, f"json {label!r}")
-        else:
-            raise CheckpointError(f"{path}: record {label!r} has unknown kind {kind}")
-        body = r.raw[start:r.pos]
-        (stored,) = r.unpack("<I", f"CRC32 of {label!r}")
-        if zlib.crc32(body) != stored:
-            raise CheckpointError(f"{path}: record {label!r} fails its CRC32 check")
-        name = raw_name.decode("utf-8")
-        if kind == _KIND_TENSOR:
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-        else:
-            sections[name] = json.loads(bytes(payload))
-    if r.pos != len(r.raw):
-        raise CheckpointError(f"{path}: {len(r.raw) - r.pos} bytes after the last record")
+    with open(path, "rb") as fh:
+        r = _Reader(path, fh)
+        if bytes(r.take(4, "magic")) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        version, count = r.unpack("<II", "header")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: format version {version}, this build reads {CHECKPOINT_VERSION}"
+            )
+        tensors: dict[str, np.ndarray] = {}
+        sections: dict[str, dict] = {}
+        for _ in range(count):
+            r.crc = 0
+            kind, name_len = r.unpack("<BH", "record header")
+            raw_name = bytes(r.take(name_len, "record name"))
+            label = raw_name.decode("utf-8", errors="replace")
+            if kind == _KIND_TENSOR:
+                (ndim,) = r.unpack("<B", f"ndim of {label!r}")
+                dims = r.unpack(f"<{ndim}Q", f"dims of {label!r}")
+                if names is not None and label not in names:
+                    r.take(8 * math.prod(dims) + 4, f"tensor {label!r}", skip=True)
+                    continue
+                payload = r.take(8 * math.prod(dims), f"tensor {label!r}")
+            elif kind == _KIND_JSON:
+                (blen,) = r.unpack("<Q", f"length of {label!r}")
+                payload = r.take(blen, f"json {label!r}")
+            else:
+                raise CheckpointError(f"{path}: record {label!r} has unknown kind {kind}")
+            crc = r.crc
+            if r.unpack("<I", f"CRC32 of {label!r}") != (crc,):
+                raise CheckpointError(f"{path}: record {label!r} fails its CRC32 check")
+            name = raw_name.decode("utf-8")
+            if kind == _KIND_TENSOR:
+                # a bytearray is writable, so the array needs no copy
+                tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims)
+            else:
+                sections[name] = json.loads(payload)
+        if fh.tell() != r.size:
+            raise CheckpointError(f"{path}: {r.size - fh.tell()} bytes after the last record")
     return tensors, sections

@@ -10,9 +10,10 @@ parameter accounting.
 from the dataset's feature store (`training.stored_features`):
 `features-<trunk>-<digest>.ckpt` next to `manifest.json`, built by the first
 command that needs it and rebuilt, with one line on stderr, when the
-trunk's code, a `.vol` file's name or size, or the bytes of a `.vol` the
-command serves changed (eval: its split's; train: train and val), or the
-store fails its checksums. Deleting the file only costs one rebuild.
+trunk's code, a `.vol` file's name or size, or the bytes of a `.vol` or of
+a store record the command serves changed (eval serves its split's rows,
+train the train and val rows), or the store is cut short. Deleting the
+file only costs one rebuild.
 
 `eval` rebuilds the run from the checkpoint's own config, with any `--set`
 applied on top.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import zlib
 from dataclasses import dataclass, field
@@ -153,6 +154,9 @@ def trunk_cache(model, dataset) -> np.ndarray:
 # edit to any of them rebuilds every store
 TRUNK_CODE = ("preprocess.py", "pipeline.py", "model.py", "training.py")
 
+# a store record holds as many rows as fit this budget, and at least one
+_CHUNK_BYTES = 256 << 10
+
 
 def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndarray:
     """Frozen-trunk features of manifest rows `rows` (default: all), in that
@@ -163,11 +167,13 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
     name holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256
     of the trunk's frozen conv parameters and DEFAULT_WINDOWS; the file also
     records the SHA-256 of the TRUNK_CODE files and each row's .vol file
-    name, size and CRC32. A call reads and CRCs the .vol files of `rows`
-    only. A missing store is built from every row. One that fails its
-    checksums, or was built by other code or from other .vol files, is
-    rebuilt with one line on stderr; it is never served. If the store cannot
-    be written, the computed features are returned all the same."""
+    name, size and CRC32. The features are records `features.<k>` of
+    consecutive rows within _CHUNK_BYTES; a call reads and CRCs only the
+    records and .vol files that hold `rows`. A missing store is built from
+    every row. One that fails a checksum a call reads, or was built by other
+    code or from other .vol files, is rebuilt with one line on stderr; it is
+    never served. If the store cannot be written, the computed features are
+    returned all the same."""
     everything = (DiskDataset(root.root, manifest=root.manifest) if isinstance(root, DiskDataset)
                   else DiskDataset(root))
     h = hashlib.sha256()
@@ -186,37 +192,40 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
     for name in TRUNK_CODE:
         code.update((Path(__file__).parent / name).read_bytes())
     key["code_sha256"] = code.hexdigest()
-    files = [everything.root / r["file"] for r in everything.rows]
-    key["vols"] = [[r["file"], f.stat().st_size] for r, f in zip(everything.rows, files)]
+    files = [os.path.join(everything.root, r["file"]) for r in everything.rows]
+    key["vols"] = [[r["file"], os.stat(f).st_size] for r, f in zip(everything.rows, files)]
+    # a 2D row is (slices, p), a 3D row (p,)
+    row = 8 * model.stub.trunk_dim * (everything.volume_shape[0] if key["trunk"] == "2d" else 1)
+    n, per = len(everything), max(1, _CHUNK_BYTES // row)
+    names = [f"features.{c:0{len(str((n - 1) // per))}d}" for c in range(-(-n // per))]
+    want = range(n) if rows is None else rows
+    served = {names[r // per] for r in want}
 
-    feats = None
     if path.exists():
         try:
-            tensors, sections = load_checkpoint(path)
+            tensors, sections = load_checkpoint(path, served)
         except CheckpointError as e:
             print(f"feature store rejected ({e}); rebuilding", file=sys.stderr)
         else:
             built = sections.get("key") if isinstance(sections.get("key"), dict) else {}
             differs = [k for k in key if built.get(k) != key[k]]
-            if not differs and any(built["vol_crc32"][i] != zlib.crc32(files[i].read_bytes())
-                                   for i in (range(len(files)) if rows is None else rows)):
+            if not differs and any(built["vol_crc32"][i] != zlib.crc32(Path(files[i]).read_bytes())
+                                   for i in want):
                 differs = ["vol_crc32"]
-            if not differs and "features" in tensors:
-                feats = tensors["features"]
-            else:
-                # the name's digest covers the rest of the key
-                other = [what for k, what in (("code_sha256", "trunk code"), ("vols", ".vol files"),
-                                              ("vol_crc32", ".vol files")) if k in differs]
-                print(f"feature store {path} was built from other {' and '.join(other) or 'data'}; "
-                      "rebuilding", file=sys.stderr)
-    if feats is None:
-        key["vol_crc32"] = [zlib.crc32(f.read_bytes()) for f in files]
-        feats = trunk_cache(model, everything)
-        try:
-            save_checkpoint(path, {"features": feats}, {"key": key})
-        except OSError as e:
-            print(f"feature store not written ({e}); using the computed features",
-                  file=sys.stderr)
+            if not differs and served <= tensors.keys():
+                return np.stack([tensors[names[r // per]][r % per] for r in want])
+            # the name's digest covers the rest of the key
+            other = [what for k, what in (("code_sha256", "trunk code"), ("vols", ".vol files"),
+                                          ("vol_crc32", ".vol files")) if k in differs]
+            print(f"feature store {path} was built from other {' and '.join(other) or 'data'}; "
+                  "rebuilding", file=sys.stderr)
+    key["vol_crc32"] = [zlib.crc32(Path(f).read_bytes()) for f in files]
+    feats = trunk_cache(model, everything)
+    try:
+        chunks = {name: feats[c * per:(c + 1) * per] for c, name in enumerate(names)}
+        save_checkpoint(path, chunks, {"key": key})
+    except OSError as e:
+        print(f"feature store not written ({e}); using the computed features", file=sys.stderr)
     return feats if rows is None else feats[rows]
 
 

@@ -127,7 +127,8 @@ _SAMPLE_KEYS = (
     ("id", lambda v: isinstance(v, str), "a string"),
     ("file", lambda v: isinstance(v, str) and v != "", "a file name"),
     ("split", lambda v: isinstance(v, str), "a string"),
-    ("labels", lambda v: isinstance(v, list) and all(_is_int(x) and x in (0, 1) for x in v),
+    # JSON gives exact ints, so `type is int` leaves out bools as `_is_int` does
+    ("labels", lambda v: isinstance(v, list) and set(map(type, v)) <= {int} and set(v) <= {0, 1},
      "a list of 0/1 ints"),
 )
 

@@ -153,3 +153,54 @@ def test_writers_of_one_file_use_their_own_temporaries(tmp_path, monkeypatch):
     save_checkpoint(p, {"a": np.zeros(2)})
     assert set(load_checkpoint(p)[0]) == {"a"}
     assert [f.name for f in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+# -- a read of named records ---------------------------------------------------
+
+
+def _named_file(tmp_path):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(p, {"w": np.arange(3.0), "s": np.float64(2.0)}, {"config": {"k": [1, 2]}})
+    return p, p.read_bytes()
+
+
+def test_a_named_read_decodes_the_named_tensors_and_every_section(tmp_path):
+    p, _ = _named_file(tmp_path)
+    tensors, sections = load_checkpoint(p, {"w", "no-such-record"})
+    assert set(tensors) == {"w"} and np.array_equal(tensors["w"], np.arange(3.0))
+    assert sections == {"config": {"k": [1, 2]}}
+    assert load_checkpoint(p, set()) == ({}, {"config": {"k": [1, 2]}})
+
+
+def test_a_named_read_checks_bounds_and_trailing_bytes(tmp_path):
+    p, good = _named_file(tmp_path)
+    for cut in range(len(good)):
+        p.write_bytes(good[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p, set())
+    p.write_bytes(good + b"\0")
+    with pytest.raises(CheckpointError, match="1 bytes after the last record"):
+        load_checkpoint(p, set())
+
+
+def test_a_named_read_catches_every_single_bit_flip_in_a_named_record(tmp_path):
+    p, good = _named_file(tmp_path)
+    # records sort by name: config, s, w; w's record runs to the end of the file
+    at = good.index(b"\x00\x01\x00w")
+    for bit in range(8 * at, 8 * len(good)):
+        raw = bytearray(good)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(raw))
+        if bit // 8 == at + 3:
+            # a flip in the name gives the record another name, which is not read
+            assert set(load_checkpoint(p, {"w"})[0]) == set()
+            continue
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p, {"w"})
+    # a flipped payload bit in a record that is not named is not looked for
+    raw = bytearray(good)
+    raw[at - 5] ^= 0x01
+    p.write_bytes(bytes(raw))
+    assert np.array_equal(load_checkpoint(p, {"w"})[0]["w"], np.arange(3.0))
+    with pytest.raises(CheckpointError, match="record 's' fails its CRC32 check"):
+        load_checkpoint(p)

@@ -3,18 +3,22 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import molre
+import molre.checkpoint
 import molre.model
 import molre.pipeline
 import molre.training
 import molre.volumes
+from molre.checkpoint import load_checkpoint
 from molre.cli import main
 from molre.config import RunConfig
 from molre.pipeline import SliceBackbone, VolumeBackbone
@@ -320,3 +324,135 @@ def test_a_broken_vol_fails_the_command_that_notices_it(data_dir, trained, tmp_p
     assert "truncated voxel payload" in capsys.readouterr().err.splitlines()[-1]
     vol.write_bytes(good)
     assert _eval(trained, tmp_path / "again") == before
+
+
+# -- the store's records: a command reads the runs of rows it serves ---------
+
+# a test row is 8 slices x 64 trunk features of float64
+ROW_BYTES = 8 * 64 * 8
+
+
+def _chunk_rows(monkeypatch, rows: int) -> None:
+    monkeypatch.setattr(molre.training, "_CHUNK_BYTES", rows * ROW_BYTES)
+
+
+@pytest.fixture
+def chunked(monkeypatch):
+    """Store records of two rows each: six for the twelve studies. Train rows
+    0-5 and val rows 6-8 sit in records 0-4, test rows 9-11 in records 4-5."""
+    _chunk_rows(monkeypatch, 2)
+
+
+@pytest.fixture
+def chunked_run(data_dir, tmp_path, chunked):
+    """A run trained on data_dir, which built the 2D store in two-row records."""
+    run = tmp_path / "run"
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(run)]) == 0
+    return run
+
+
+def _store(data_dir: Path) -> Path:
+    (store,) = data_dir.glob("features-*.ckpt")
+    return store
+
+
+def _flip_a_record_bit(data_dir: Path, name: str) -> None:
+    store = _store(data_dir)
+    raw = bytearray(store.read_bytes())
+    # past the name, ndim and three dims: inside the record's payload
+    raw[raw.index(name.encode()) + len(name) + 1 + 3 * 8 + 100] ^= 0x04
+    store.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("rows, names", [
+    (1, [f"features.{c:02d}" for c in range(12)]),
+    (2, [f"features.{c}" for c in range(6)]),
+    (5, ["features.0", "features.1", "features.2"]),
+])
+def test_the_store_holds_runs_of_rows_in_name_order(data_dir, monkeypatch, rows, names):
+    _chunk_rows(monkeypatch, rows)
+    model = build_model(RunConfig())
+    everything = stored_features(model, data_dir)
+    tensors, sections = load_checkpoint(_store(data_dir))
+    assert list(tensors) == names and set(sections) == {"key"}
+    assert [len(t) for t in tensors.values()] == [min(rows, 12 - c * rows) for c in range(len(names))]
+    assert np.array_equal(np.concatenate(list(tensors.values())), everything)
+
+
+@pytest.mark.parametrize("rows", [[11, 0, 7, 3], [5, 5, 2, 5, 5], [1, 2, 3, 4, 5, 6], [9, 10, 11], [4]])
+def test_stored_rows_come_back_in_the_order_given(data_dir, chunked, trunk_calls, rows):
+    model = build_model(RunConfig())
+    ref = trunk_cache(model, DiskDataset(data_dir))[rows]
+    del trunk_calls[:]
+    assert np.array_equal(stored_features(model, data_dir, rows), ref)  # builds the store
+    assert len(trunk_calls) == 12
+    assert np.array_equal(stored_features(model, data_dir, np.array(rows)), ref)  # reads it
+    assert len(trunk_calls) == 12
+
+
+def test_a_command_crcs_the_store_records_it_serves(data_dir, chunked_run, tmp_path, monkeypatch):
+    tensors, _ = load_checkpoint(_store(data_dir))
+    # each record's CRC32, as the store holds it
+    record_crcs = {name: struct.unpack("<I", molre.checkpoint._record(name, 0, t)[-4:])[0]
+                   for name, t in tensors.items()}
+    crcs = []
+    real = zlib.crc32
+
+    def counted(data, value=0):
+        crcs.append(real(data, value))
+        return crcs[-1]
+
+    monkeypatch.setattr(zlib, "crc32", counted)
+
+    def checked():
+        names = sorted(name for name, crc in record_crcs.items() if crc in crcs)
+        del crcs[:]
+        return names
+
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}",
+                 "--out", str(tmp_path / "again")]) == 0
+    assert checked() == [f"features.{c}" for c in range(5)]
+    _eval(chunked_run, tmp_path / "eval")
+    assert checked() == ["features.4", "features.5"]
+
+
+def test_a_flipped_bit_in_a_served_record_rebuilds(data_dir, chunked_run, tmp_path, trunk_calls,
+                                                    capsys):
+    _flip_a_record_bit(data_dir, "features.5")  # test rows only
+    del trunk_calls[:]
+    capsys.readouterr()
+    rebuilt = _eval(chunked_run, tmp_path / "rebuilt")
+    err = capsys.readouterr().err
+    assert "record 'features.5' fails its CRC32 check" in err and err.count("\n") == 1
+    assert "; rebuilding" in err and len(trunk_calls) == 12
+    _store(data_dir).unlink()
+    assert _eval(chunked_run, tmp_path / "fresh") == rebuilt
+
+
+def test_a_flipped_bit_in_an_unserved_record_waits_for_train(data_dir, chunked_run, tmp_path,
+                                                             trunk_calls, capsys):
+    before = _eval(chunked_run, tmp_path / "before")
+    _flip_a_record_bit(data_dir, "features.0")  # train rows only
+    del trunk_calls[:]
+    capsys.readouterr()
+    assert _eval(chunked_run, tmp_path / "after") == before
+    assert trunk_calls == [] and capsys.readouterr().err == ""
+    # the next command that serves the record rebuilds
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "r2")]) == 0
+    err = capsys.readouterr().err
+    assert "record 'features.0' fails its CRC32 check" in err and err.count("\n") == 1
+    assert len(trunk_calls) == 12
+
+
+def test_a_truncated_store_is_rejected_by_eval(data_dir, chunked_run, tmp_path, trunk_calls, capsys):
+    before = _eval(chunked_run, tmp_path / "before")
+    store = _store(data_dir)
+    raw = store.read_bytes()
+    store.write_bytes(raw[:len(raw) // 3])  # cut inside the records eval does not serve
+    del trunk_calls[:]
+    capsys.readouterr()
+    assert _eval(chunked_run, tmp_path / "after") == before
+    err = capsys.readouterr().err
+    assert "truncated or corrupt checkpoint" in err and "; rebuilding" in err
+    assert err.count("\n") == 1 and len(trunk_calls) == 12
+    assert _store(data_dir).read_bytes() == raw

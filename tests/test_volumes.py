@@ -170,6 +170,8 @@ def test_written_files_get_the_umask_permissions(tmp_path, umask):
     (lambda m: m["samples"].append(3), "sample 4 must be an object, got int"),
     (lambda m: m["samples"][1].pop("split"), "sample 1 ('s001'): missing key 'split'"),
     (lambda m: m["samples"][2].update(labels=[1, 0, 2]), "sample 2 ('s002'): 'labels' must be a list of 0/1"),
+    (lambda m: m["samples"][2].update(labels=[True, 0, 1]), "sample 2 ('s002'): 'labels' must be a list of 0/1"),
+    (lambda m: m["samples"][2].update(labels=[1.0, 0, 1]), "sample 2 ('s002'): 'labels' must be a list of 0/1"),
     (lambda m: m["samples"][0].update(labels=[1, 0, 1, 0]), "'labels' has 4 entries, num_classes is 3"),
     (lambda m: m["samples"][0].update(stream="7"), "sample 0 ('s000'): 'stream' must be an int"),
     (lambda m: m["samples"][0].update(id=5), "sample 0: 'id' must be a string"),
