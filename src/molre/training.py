@@ -161,7 +161,8 @@ _CHUNK_BYTES = 256 << 10
 def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndarray:
     """Frozen-trunk features of manifest rows `rows` (default: all), in that
     order, as `trunk_cache` gives them, from the feature store of the dataset
-    at `root`: a directory, or a DiskDataset whose manifest is not re-read.
+    at `root`: a directory, or a DiskDataset whose manifest is not re-read
+    (one over every row, `split` None, is used as it is).
 
     The store is `features-<trunk>-<digest>.ckpt` next to manifest.json. Its
     name holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256
@@ -174,8 +175,12 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
     code or from other .vol files, is rebuilt with one line on stderr; it is
     never served. If the store cannot be written, the computed features are
     returned all the same."""
-    everything = (DiskDataset(root.root, manifest=root.manifest) if isinstance(root, DiskDataset)
-                  else DiskDataset(root))
+    if not isinstance(root, DiskDataset):
+        everything = DiskDataset(root)
+    elif root.split is None:
+        everything = root
+    else:
+        everything = DiskDataset(root.root, manifest=root.manifest)
     h = hashlib.sha256()
     for name, t in model.stub.frozen_parameters().items():
         if name.startswith("backbone.conv"):  # the projection runs after the store

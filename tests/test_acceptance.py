@@ -34,9 +34,9 @@ from molre.preprocess import (
 )
 from molre.rng import RngStream
 from molre.sampling import expand_indices, repeat_factors
-from molre.synthetic import SynthConfig, SyntheticDataset, sample_label_matrix, synth_sample
+from molre.synthetic import SynthConfig, SyntheticDataset
 from molre.tensor import Tensor, finite_diff_grad
-from molre.training import Trainer, build_model, predict_probs, windowed
+from molre.training import Trainer, build_model, predict_probs, trunk_cache
 from molre.volumes import VolumeSample
 
 
@@ -374,10 +374,9 @@ def test_c11_directional_end_to_end():
     n_train, n_val, n_test = 2000, 400, 400
     n = n_train + n_val + n_test
     probe = build_model(RunConfig())  # trunk is mode-independent
-    labels = sample_label_matrix(n, scfg, 7).astype(np.float64)
-    z = np.empty((n, scfg.shape[0], probe.stub.trunk_dim))
-    for i in range(n):
-        z[i] = probe.trunk_features(windowed(synth_sample(i, scfg, 7)))
+    data = SyntheticDataset(n, scfg, 7)
+    labels = data.labels.astype(np.float64)
+    z = trunk_cache(probe, data)  # the features a feature store of this data holds
 
     sl_tr = slice(0, n_train)
     sl_va = slice(n_train, n_train + n_val)

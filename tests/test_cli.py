@@ -1,13 +1,18 @@
+import hashlib
 import json
+import os
+import re
 import shutil
+import signal
 
 import numpy as np
 import pytest
 
 from molre.checkpoint import load_checkpoint, save_checkpoint
 from molre.cli import _resolve_config, build_parser, main
+from molre.synthetic import synth_sample
 from molre.training import NumericalAbort
-from molre.volumes import DiskDataset, write_volume
+from molre.volumes import DataError, DiskDataset, write_volume
 
 TINY = [
     "--set", "volume_shape=8,16,16",
@@ -94,6 +99,73 @@ def test_synth_writes_dataset_and_manifest(tmp_path):
     assert np.array_equal(ds.labels[0], manifest["samples"][0]["labels"])
 
 
+def _cpus(monkeypatch, n):
+    # synth runs one process per CPU of the affinity mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_synth_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
+    rendered = []  # the parent's list: a worker appends to its own copy
+
+    def counted(i, *args):
+        rendered.append(i)
+        return synth_sample(i, *args)
+
+    monkeypatch.setattr("molre.cli.synth_sample", counted)
+    digests = {}
+    for workers in (1, 3):
+        _cpus(monkeypatch, workers)
+        rendered.clear()
+        data_dir = tmp_path / f"workers-{workers}"
+        assert main(["synth", *TINY, "--out", str(data_dir)]) == 0
+        assert rendered == list(range(0, 20, workers))  # the parent renders its share only
+        digests[workers] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                            for f in data_dir.iterdir()}
+    assert len(digests[1]) == 21 and digests[3] == digests[1]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad", [1, 3], ids=["in-a-worker", "in-the-parent"])
+def test_synth_data_error_in_any_share_exits_3(tmp_path, monkeypatch, capfd, bad):
+    # with three workers, sample 1 is worker 1's and sample 3 the parent's
+    def failing(i, *args):
+        if i == bad:
+            raise DataError(f"cannot render sample {i}")
+        return synth_sample(i, *args)
+
+    monkeypatch.setattr("molre.cli.synth_sample", failing)
+    _cpus(monkeypatch, 3)
+    data_dir = tmp_path / "data"
+    assert main(["synth", *TINY, "--out", str(data_dir)]) == 3
+    assert capfd.readouterr().err.splitlines() == [f"data error: cannot render sample {bad}"]
+    assert not (data_dir / "manifest.json").exists()
+    _no_child_left()
+
+
+def test_synth_names_a_worker_that_died_before_reporting(tmp_path, monkeypatch, capfd):
+    parent = os.getpid()
+
+    def dying(i, *args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return synth_sample(i, *args)
+
+    monkeypatch.setattr("molre.cli.synth_sample", dying)
+    _cpus(monkeypatch, 3)
+    data_dir = tmp_path / "data"
+    assert main(["synth", *TINY, "--out", str(data_dir)]) == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        rf"data error: synth worker 1 \(pid \d+\) was killed by signal {signal.SIGKILL:d} "
+        r"before reporting", err[0]), err
+    assert not (data_dir / "manifest.json").exists()
+    _no_child_left()
+
+
 def test_synth_bad_override_exits_config(tmp_path):
     assert main(["synth", "--set", "no_such_key=1", "--out", str(tmp_path / "d")]) == 2
     assert main(["synth", "--set", "gamma=not_a_number", "--out", str(tmp_path / "d")]) == 2
@@ -108,15 +180,21 @@ def test_config_file_error_exits_config(tmp_path):
 # -- train / eval ------------------------------------------------------------
 
 
-def test_train_eval_roundtrip(tmp_path, capsys):
+def test_train_eval_roundtrip(tmp_path, capsys, monkeypatch):
     data_dir = _synth(tmp_path)
     run_dir = tmp_path / "run"
+    built = []  # the split of every DiskDataset a command builds
+    init = DiskDataset.__init__
+    monkeypatch.setattr(DiskDataset, "__init__",
+                        lambda self, root, split=None, manifest=None:
+                        built.append(split) or init(self, root, split, manifest))
     code = main([
         "train", *TINY,
         "--set", f"data_dir={data_dir}",
         "--out", str(run_dir),
     ])
     assert code == 0
+    assert built == [None, "train", "val"]  # one every-row view, shared with the store
     assert (run_dir / "best.ckpt").exists()
     assert (run_dir / "last.ckpt").exists()
     records = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
@@ -125,11 +203,13 @@ def test_train_eval_roundtrip(tmp_path, capsys):
     assert "best val mean AUC" in out
 
     eval_dir = tmp_path / "eval"
+    built.clear()
     code = main([
         "eval", "--checkpoint", str(run_dir / "best.ckpt"),
         "--split", "test", "--out", str(eval_dir),
     ])
     assert code == 0
+    assert built == [None, "test"]
     report = json.loads((eval_dir / "report.json").read_text())
     assert len(report["per_class_auc"]) == 3
     assert (eval_dir / "report.txt").exists()
