@@ -18,15 +18,10 @@ file only costs one rebuild.
 `eval` rebuilds the run from the checkpoint's own config, with any `--set`
 applied on top.
 
-`synth` renders and writes its studies on every CPU of the affinity mask:
-it forks one worker per extra CPU, each rendering an interleaved share, and
-writes `manifest.json` in row order once every share succeeded, so the
-bytes are those of a single process. A worker's error exits as the
-parent's own would; a worker that dies before reporting is a data error
-that names its wait status. The workers call no BLAS; Python 3.12
-and later warn when a process with OpenBLAS threads forks. A tracer
-patched into this module's `synth_sample` and `write_volume` sees the
-parent's share only.
+`synth` renders its studies, and `train` and `eval` build a missing store,
+on every CPU of the affinity mask (`parallel.fork_rows`), with the bytes of
+one process. A worker's error, or its death, is a data error. A tracer
+patched into this module or the trunk sees the parent's share only.
 
 Exit codes: 0 success, 2 config error (in the config file or `--set`), 3
 data error (a missing, malformed or corrupt manifest, `.vol` file or
@@ -40,18 +35,15 @@ with its prefix (`config error:`, `data error:`, `numerical abort:`).
 from __future__ import annotations
 
 import argparse
-import os
-import pickle
 import sys
-from functools import partial
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
+from .parallel import fork_rows
 from .synthetic import SynthConfig, class_prevalences, synth_sample
 from .training import (
     NumericalAbort,
@@ -105,47 +97,6 @@ def _split_counts(n: int, cfg: RunConfig) -> tuple[int, int]:
     return n_train, n_val
 
 
-def _synth_workers(n: int) -> int:
-    """One process per CPU this one may run on, and no more than `n`; one
-    where the platform has no fork or affinity mask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(n, len(os.sched_getaffinity(0)))
-
-
-def _fork_worker(work, inherited) -> tuple[int, BinaryIO]:
-    """Fork a worker that runs `work()` and sends back its result, or the
-    exception it raised, pickled through a pipe; return the worker's pid and
-    the pipe's read end. The worker first closes the parent's read ends in
-    `inherited`, so its write fails once the parent has closed its own, and
-    it exits without ever returning into the parent's stack: 0 once it has
-    sent, 1 if it could not."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            for pipe in inherited:
-                pipe.close()
-            try:
-                msg = pickle.dumps((work(), None))
-            except Exception as e:
-                msg = pickle.dumps((None, e))
-            with os.fdopen(w, "wb") as fh:
-                fh.write(msg)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
 def cmd_synth(cfg: RunConfig) -> int:
     out_dir = Path(cfg.data_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,51 +108,20 @@ def cmd_synth(cfg: RunConfig) -> int:
     n = cfg.num_samples
     n_train, n_val = _split_counts(n, cfg)
 
-    def render(share: range) -> list[dict]:
-        rows = []
-        for i in share:
-            sample = synth_sample(i, scfg, cfg.data_seed)
-            fname = f"{sample.sample_id}.vol"
-            write_volume(out_dir / fname, sample)
-            split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
-            rows.append(
-                {
-                    "id": sample.sample_id,
-                    "split": split,
-                    "labels": [int(x) for x in sample.labels],
-                    "file": fname,
-                    "stream": sample.stream_id,
-                }
-            )
-        return rows
+    def render(i: int) -> dict:
+        sample = synth_sample(i, scfg, cfg.data_seed)
+        fname = f"{sample.sample_id}.vol"
+        write_volume(out_dir / fname, sample)
+        split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
+        return {
+            "id": sample.sample_id,
+            "split": split,
+            "labels": [int(x) for x in sample.labels],
+            "file": fname,
+            "stream": sample.stream_id,
+        }
 
-    # worker k renders samples k, k + workers, ...; the parent is worker 0
-    workers = _synth_workers(n)
-    pids, pipes, sent = [], [], []
-    try:
-        for k in range(1, workers):
-            pid, pipe = _fork_worker(partial(render, range(k, n, workers)), pipes)
-            pids.append(pid)
-            pipes.append(pipe)
-        shares = [render(range(0, n, workers))]
-        sent = [pipe.read() for pipe in pipes]
-    finally:
-        # closed before the waits, so a worker still writing fails and exits
-        for pipe in pipes:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for k, (pid, msg, status) in enumerate(zip(pids, sent, statuses), 1):
-        if not msg:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(f"synth worker {k} (pid {pid}) {how} before reporting")
-        share, err = pickle.loads(msg)
-        if err is not None:
-            raise err
-        shares.append(share)
-    rows = [None] * n
-    for k, share in enumerate(shares):
-        rows[k::workers] = share
+    rows = fork_rows(render, n, "synth")
     labels = np.array([r["labels"] for r in rows], dtype=np.float64)
     manifest = {
         "format_version": 1,

@@ -8,9 +8,10 @@ volume with 3x3x3 convs (the 3D path). Both run one channels-first conv body
 (a padded copy, one strided copy per kernel tap into the column matrix, then
 `W @ cols`) depth-first: every conv over one block of inputs, then the next
 block. A block holds as many inputs as keep its largest column matrix within
-_BLOCK_BYTES, and at least one: 7 slices or 1 volume at 32x64x64. Then come a
-global mean pool, a row standardization and a linear projection, written once
-in their shared base; the adapters replace or extend that projection.
+_BLOCK_BYTES, and at least one: 7 slices or 1 volume at 32x64x64, at one
+BLAS thread (`parallel.one_blas_thread`). Then come a global mean pool, a row
+standardization and a linear projection, written once in their shared base;
+the adapters replace or extend that projection.
 
 `AttentionPooler` collapses a volume's S slice features into one vector with
 a single learnable query; `ClassifierHead` scores the C findings with
@@ -25,6 +26,7 @@ import math
 
 import numpy as np
 
+from .parallel import one_blas_thread
 from .preprocess import DEFAULT_WINDOWS
 from .rng import RngStream
 from .tensor import ShapeError, Tensor, sigmoid, softmax, softmax_backward
@@ -108,7 +110,8 @@ class _Backbone:
 
     def _pooled(self, x, layout: str, conv) -> np.ndarray:
         """Run the convs depth-first over blocks of inputs (see the module
-        docstring), mean-pool every spatial axis, and standardize each row."""
+        docstring) at one BLAS thread, mean-pool every spatial axis, and
+        standardize each row."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 + len(self.kernel) or x.shape[1] != self.in_channels:
             raise ShapeError(f"backbone expects {layout.format(self.in_channels)}, got {x.shape}")
@@ -118,14 +121,15 @@ class _Backbone:
             cols.append(8 * ci * math.prod(self.kernel) * math.prod(spatial))
         block = max(1, _BLOCK_BYTES // max(cols))
         outs = []
-        for lo in range(0, x.shape[0], block):
-            h = x[lo:lo + block]
-            for w, b in zip(self.conv_w, self.conv_b):
-                h = conv(h, w.data, b.data)
-            # the mean sums in memory order: channels-last, as the features
-            # have always been summed
-            h = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, 1, -1)), -1, 1)
-            outs.append(h.mean(axis=tuple(range(2, h.ndim))))
+        with one_blas_thread():
+            for lo in range(0, x.shape[0], block):
+                h = x[lo:lo + block]
+                for w, b in zip(self.conv_w, self.conv_b):
+                    h = conv(h, w.data, b.data)
+                # the mean sums in memory order: channels-last, as the features
+                # have always been summed
+                h = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, 1, -1)), -1, 1)
+                outs.append(h.mean(axis=tuple(range(2, h.ndim))))
         return _rownorm(np.concatenate(outs, axis=0))
 
     def project(self, z: np.ndarray) -> np.ndarray:

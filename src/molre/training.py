@@ -32,6 +32,7 @@ from .losses import FocalLossConfig, focal_loss, focal_loss_backward, prevalence
 from .metrics import aggregate, per_class_auc
 from .model import SliceModel, VolumeModel
 from .optim import AdamW
+from .parallel import fork_rows
 from .preprocess import DEFAULT_WINDOWS, AugmentConfig, augment, hu_window
 from .rng import RngStream
 from .sampling import expand_indices, repeat_factors
@@ -145,14 +146,15 @@ def windowed(sample) -> np.ndarray:
 def trunk_cache(model, dataset) -> np.ndarray:
     """Frozen-trunk features for every sample: (N, S, p) on the slice path,
     (N, p) on the volume path. Valid across epochs because the trunk never
-    trains and cached features skip augmentation."""
-    feats = [model.trunk_features(windowed(dataset.sample(i))) for i in range(len(dataset))]
-    return np.stack(feats)
+    trains and cached features skip augmentation. The samples are read,
+    windowed and embedded on every CPU (`parallel.fork_rows`)."""
+    return np.stack(fork_rows(lambda i: model.trunk_features(windowed(dataset.sample(i))),
+                              len(dataset), "trunk"))
 
 
 # the files whose code windows, embeds and stacks the stored features; an
 # edit to any of them rebuilds every store
-TRUNK_CODE = ("preprocess.py", "pipeline.py", "model.py", "training.py")
+TRUNK_CODE = ("preprocess.py", "pipeline.py", "model.py", "training.py", "parallel.py")
 
 # a store record holds as many rows as fit this budget, and at least one
 _CHUNK_BYTES = 256 << 10
@@ -171,10 +173,10 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
     name, size and CRC32. The features are records `features.<k>` of
     consecutive rows within _CHUNK_BYTES; a call reads and CRCs only the
     records and .vol files that hold `rows`. A missing store is built from
-    every row. One that fails a checksum a call reads, or was built by other
-    code or from other .vol files, is rebuilt with one line on stderr; it is
-    never served. If the store cannot be written, the computed features are
-    returned all the same."""
+    every row, on every CPU (`trunk_cache`). One that fails a checksum a call
+    reads, or was built by other code or from other .vol files, is rebuilt
+    with one line on stderr; it is never served. If the store cannot be
+    written, the computed features are returned all the same."""
     if not isinstance(root, DiskDataset):
         everything = DiskDataset(root)
     elif root.split is None:

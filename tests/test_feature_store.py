@@ -3,6 +3,8 @@
 
 import json
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
@@ -45,15 +47,58 @@ def _stores(data_dir: Path) -> list[str]:
     return sorted(p.name for p in data_dir.glob("features-*.ckpt"))
 
 
+def _cpus(monkeypatch, n):
+    # a store build runs one process per CPU of the affinity mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture(autouse=True)
+def three_workers(monkeypatch):
+    """Every store build here forks two workers, whatever the host's CPUs."""
+    _cpus(monkeypatch, 3)
+
+
+class _Calls:
+    """Trunk calls logged to a file, one line per call with the caller's pid,
+    so a forked worker's calls count too. Compares, measures and clears like
+    a list of those pids."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        path.write_text("")
+
+    def log(self) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode())  # one write: lines never interleave
+        finally:
+            os.close(fd)
+
+    def pids(self) -> list[int]:
+        return [int(line) for line in self.path.read_text().split()]
+
+    def __len__(self) -> int:
+        return len(self.pids())
+
+    def __eq__(self, other) -> bool:
+        return self.pids() == other
+
+    def __delitem__(self, _) -> None:
+        self.path.write_text("")
+
+    def __repr__(self) -> str:
+        return repr(self.pids())
+
+
 @pytest.fixture
-def trunk_calls(monkeypatch):
-    """Counts calls of both frozen trunks."""
-    calls = []
+def trunk_calls(monkeypatch, tmp_path):
+    """Counts calls of both frozen trunks, in this process and its workers."""
+    calls = _Calls(tmp_path / "trunk-calls.log")
     for cls in (SliceBackbone, VolumeBackbone):
         real = cls.trunk
 
         def counted(self, x, real=real):
-            calls.append(x.shape)
+            calls.log()
             return real(self, x)
 
         monkeypatch.setattr(cls, "trunk", counted)
@@ -158,16 +203,93 @@ def test_store_is_rebuilt(data_dir, trunk_calls, capsys, monkeypatch, change, st
     assert np.array_equal(stored_features(model, data_dir), got) and trunk_calls == []
 
 
+# -- the store is built on every CPU -----------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["molre", "molre3d"])
+def test_forked_build_is_bitwise_equal_at_any_worker_count(data_dir, monkeypatch, mode):
+    model = build_model(RunConfig(mode=mode))
+    built = {}
+    for workers in (1, 3):
+        _cpus(monkeypatch, workers)
+        for store in data_dir.glob("features-*.ckpt"):
+            store.unlink()
+        rows = stored_features(model, data_dir)
+        built[workers] = rows, load_checkpoint(_store(data_dir))[0]
+    (rows1, records1), (rows3, records3) = built[1], built[3]
+    assert rows1.dtype == np.float64 and np.array_equal(rows3, rows1)
+    assert list(records3) == list(records1)
+    assert all(np.array_equal(records3[name], records1[name]) for name in records1)
+
+
+def test_the_parent_embeds_only_its_share(data_dir, trunk_calls):
+    stored_features(build_model(RunConfig()), data_dir)
+    pids = trunk_calls.pids()
+    # three workers of twelve rows: the parent embeds rows 0, 3, 6 and 9
+    assert len(pids) == 12 and len(set(pids)) == 3
+    assert pids.count(os.getpid()) == 4
+
+
+def _truncate(vol: Path) -> None:
+    vol.write_bytes(vol.read_bytes()[:-100])
+
+
+def _two_more_slices(vol: Path) -> None:
+    sample = molre.volumes.read_volume(vol, "s", [0, 0, 0])
+    sample.voxels = np.concatenate([sample.voxels, sample.voxels[:2]])
+    molre.volumes.write_volume(vol, sample)
+
+
+@pytest.mark.parametrize("row", [1, 3], ids=["in-a-worker", "in-the-parent"])
+@pytest.mark.parametrize("corrupt, says", [
+    (_truncate, "truncated voxel payload"),
+    (_two_more_slices, "volume is (10, 16, 16), the manifest's volume_shape is (8, 16, 16)"),
+], ids=["truncated", "other-shape"])
+def test_a_broken_vol_in_any_share_fails_the_build(data_dir, tmp_path, capfd, row, corrupt, says):
+    # with three workers, row 1 is worker 1's and row 3 the parent's
+    vol = data_dir / json.loads((data_dir / "manifest.json").read_text())["samples"][row]["file"]
+    corrupt(vol)
+    capfd.readouterr()
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path)]) == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and says in err[0], err
+    assert _stores(data_dir) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_killed_before_reporting_is_named(data_dir, tmp_path, monkeypatch, capfd):
+    parent, real = os.getpid(), SliceBackbone.trunk
+
+    def dying(self, x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(self, x)
+
+    monkeypatch.setattr(SliceBackbone, "trunk", dying)
+    capfd.readouterr()
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path)]) == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        rf"data error: trunk worker 1 \(pid \d+\) was killed by signal {signal.SIGKILL:d} "
+        r"before reporting", err[0]), err
+    assert _stores(data_dir) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_store_key_covers_every_file_of_the_trunk_code():
     src = Path(molre.training.__file__).parent
     for name in molre.training.TRUNK_CODE:
         assert (src / name).is_file(), name
     # the code behind trunk_cache: windowing, the stubs' shared conv body
-    # and pooling, the models' trunk_features, and trunk_cache itself
+    # and pooling, the models' trunk_features, trunk_cache itself, the
+    # workers that stack its rows and the BLAS pin
     for fn in (molre.training.hu_window, molre.pipeline._conv_relu, molre.pipeline._conv2d_relu,
                molre.pipeline._conv3d_relu, molre.pipeline._Backbone._pooled,
                molre.model.SliceModel.trunk_features, molre.model.VolumeModel.trunk_features,
-               molre.training.windowed, molre.training.trunk_cache):
+               molre.training.windowed, molre.training.trunk_cache, molre.training.fork_rows,
+               molre.pipeline.one_blas_thread.__wrapped__):
         assert Path(fn.__code__.co_filename).name in molre.training.TRUNK_CODE, fn
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import molre.parallel
 import molre.pipeline
 from molre.model import SliceModel, VolumeModel
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +23,7 @@ from molre.pipeline import (
     _rownorm,
     slices_of,
 )
+from molre.parallel import one_blas_thread
 from molre.preprocess import DEFAULT_WINDOWS
 from molre.rng import RngStream
 from molre.tensor import ShapeError, finite_diff_grad, sigmoid
@@ -89,10 +91,12 @@ def _im2col_conv3d(x, w, b):
 
 
 def _layers(stub, x, conv):
-    """Every conv layer's output, then the pooled, standardized features."""
+    """Every conv layer's output, then the pooled, standardized features, at
+    one BLAS thread as the trunks run."""
     out = [x]
-    for w, b in zip(stub.conv_w, stub.conv_b):
-        out.append(conv(out[-1], w.data, b.data))
+    with one_blas_thread():
+        for w, b in zip(stub.conv_w, stub.conv_b):
+            out.append(conv(out[-1], w.data, b.data))
     h = out[-1]
     return out[1:], _rownorm(h.mean(axis=tuple(range(2, h.ndim))))
 
@@ -184,16 +188,15 @@ def test_3d_batch_is_bitwise_equal_to_each_volume(monkeypatch, conv_blocks, budg
     assert conv_blocks == ([1, 1, 1] if budget == _BLOCK_BYTES else [3])
 
 
-def test_2d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
-    # one child process under OPENBLAS_NUM_THREADS=1 against this process's
-    # default thread count
-    x = np.random.default_rng(34).uniform(0, 1, (3, 32, 64, 64))
+def _trunk_under_one_blas_thread(tmp_path, model, x):
+    """`model().trunk_features(x)` in one child process under
+    OPENBLAS_NUM_THREADS=1."""
     np.save(tmp_path / "x.npy", x)
     script = (
         "import sys, numpy as np\n"
-        "from molre.model import SliceModel\n"
+        f"from molre.model import {model.__name__}\n"
         "x = np.load(sys.argv[1])\n"
-        "np.save(sys.argv[2], SliceModel().trunk_features(x))\n"
+        f"np.save(sys.argv[2], {model.__name__}().trunk_features(x))\n"
     )
     src = str(Path(molre.pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -203,7 +206,55 @@ def test_2d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert np.array_equal(np.load(tmp_path / "z.npy"), SliceModel().trunk_features(x))
+    return np.load(tmp_path / "z.npy")
+
+
+# against this process's default thread count
+def test_2d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
+    x = np.random.default_rng(34).uniform(0, 1, (3, 32, 64, 64))
+    assert np.array_equal(_trunk_under_one_blas_thread(tmp_path, SliceModel, x),
+                          SliceModel().trunk_features(x))
+
+
+def test_3d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
+    # the 3D convs' sums move in the last bit with the thread count; the
+    # trunk pins its own
+    x = np.random.default_rng(35).uniform(0, 1, (3, 32, 64, 64))
+    assert np.array_equal(_trunk_under_one_blas_thread(tmp_path, VolumeModel, x),
+                          VolumeModel().trunk_features(x))
+
+
+def test_one_blas_thread_restores_the_callers_count(monkeypatch):
+    threads = [4]
+    monkeypatch.setattr(molre.parallel, "_BLAS", (lambda n: threads.append(n), lambda: threads[-1]))
+    with one_blas_thread():
+        assert threads == [4, 1]
+    assert threads == [4, 1, 4]
+    with pytest.raises(ShapeError), one_blas_thread():
+        SliceBackbone().trunk(np.zeros((1, 2, 8, 8)))
+    assert threads[-1] == 4
+    for stub, x in ((SliceBackbone(), np.zeros((2, 3, 8, 8))),
+                    (VolumeBackbone(), np.zeros((1, 3, 4, 8, 8)))):
+        del threads[1:]
+        stub.trunk(x)
+        assert threads == [4, 1, 4]  # each trunk call pins itself
+
+
+def _unloadable(path):
+    raise OSError(f"{path}: cannot load")
+
+
+@pytest.mark.parametrize("cdll", [lambda path: object(), _unloadable],
+                         ids=["no-symbol", "unloadable"])
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, cdll):
+    monkeypatch.setattr(molre.parallel.ctypes, "CDLL", cdll)
+    blas = molre.parallel._openblas()
+    assert blas[0](1) is None and blas[1]() == 1
+    monkeypatch.setattr(molre.parallel, "_BLAS", blas)
+    x = np.random.default_rng(36).uniform(0, 1, (3, 8, 16, 16))
+    with one_blas_thread():
+        z = SliceModel().trunk_features(x)
+    assert z.shape == (8, 64) and np.all(np.isfinite(z))
 
 
 def test_rownorm_standardizes_rows():
