@@ -20,8 +20,10 @@ applied on top.
 
 `synth` renders its studies, and `train` and `eval` build a missing store,
 on every CPU of the affinity mask (`parallel.fork_rows`), with the bytes of
-one process. A worker's error, or its death, is a data error. A tracer
-patched into this module or the trunk sees the parent's share only.
+one process. Studies are handed out on demand, so each process takes the
+next one when it is free. A worker's error, or its death, is a data error.
+A tracer patched into this module or the trunk sees the parent's share
+only, and that share varies from run to run.
 
 Exit codes: 0 success, 2 config error (in the config file or `--set`), 3
 data error (a missing, malformed or corrupt manifest, `.vol` file or

@@ -7,7 +7,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
+
+from .volumes import atomic_write
 
 
 class EvaluationError(RuntimeError):
@@ -16,7 +17,8 @@ class EvaluationError(RuntimeError):
 
 def auc(scores, labels) -> float | None:
     """Probability that a positive outscores a negative, ties counted 0.5
-    (Mann-Whitney, via average ranks). None when either class is empty."""
+    (Mann-Whitney, via average ranks). None when either class is empty, NaN
+    when a score is NaN."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
@@ -26,8 +28,13 @@ def auc(scores, labels) -> float | None:
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(s, method="average")
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(s).any():
+        return float("nan")
+    # a score's average 1-based rank is (left + right + 1) / 2 of its run of
+    # ties in the sorted scores; the half-integers sum exactly
+    ordered, x = np.sort(s), s[pos]
+    ties = np.searchsorted(ordered, x, "left") + np.searchsorted(ordered, x, "right")
+    u = (int(ties.sum()) + n_pos) / 2.0 - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -122,7 +129,7 @@ def format_param_table(rows) -> str:
 
 def write_report(report: MetricsReport, out_dir: Path) -> None:
     """Serialize one evaluation: a text table with one row per class and a
-    machine-readable JSON summary."""
+    machine-readable JSON summary, each written atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{'class':<12} {'auc':>8} {'n_pos':>7} {'n_neg':>7}"]
@@ -136,5 +143,6 @@ def write_report(report: MetricsReport, out_dir: Path) -> None:
     if report.param_table:
         lines.append("")
         lines.append(format_param_table(report.param_table))
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-    (out_dir / "report.json").write_text(json.dumps(asdict(report), indent=1, sort_keys=True) + "\n")
+    atomic_write(out_dir / "report.txt", ("\n".join(lines) + "\n").encode())
+    atomic_write(out_dir / "report.json",
+                 (json.dumps(asdict(report), indent=1, sort_keys=True) + "\n").encode())

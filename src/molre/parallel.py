@@ -1,5 +1,7 @@
-"""Work on every CPU: `fork_rows` spreads rows over forked workers, one per
-CPU of the affinity mask, and `one_blas_thread` runs the frozen trunk at one
+"""Work on every CPU: `fork_rows` hands rows out on demand to forked
+workers, one per CPU of the affinity mask, so the share of each process,
+the parent's included, varies from call to call; a tracer in the parent
+sees that share only. `one_blas_thread` runs the frozen trunk at one
 OpenBLAS thread, so its features do not depend on the thread count. Python
 3.12 and later warn (a DeprecationWarning) when a process with OpenBLAS
 threads forks."""
@@ -84,26 +86,63 @@ def _fork_worker(work, inherited) -> tuple[int, BinaryIO]:
     return pid, os.fdopen(r, "rb")
 
 
+# at most 16 KiB of 4-byte row tokens: a pipe's 64 KiB holds them all
+# before any process reads, so writing them never blocks
+_TOKENS = 4096
+
+
+def _take(row, tokens: int, n: int, per: int) -> tuple[list, tuple | None]:
+    """Compute the rows of each token read from the pipe `tokens` until EOF,
+    a token being the first of `per` rows: a list of (row, value), and the
+    (row, exception) that stopped this process, or None. A failing process
+    drains the pipe, so every process stops after the rows it holds."""
+    done = []
+    while token := os.read(tokens, 4):
+        first = int.from_bytes(token, "little")
+        for i in range(first, min(first + per, n)):
+            try:
+                done.append((i, row(i)))
+            except Exception as e:
+                while os.read(tokens, 1 << 16):
+                    pass
+                return done, (i, e)
+    return done, None
+
+
 def fork_rows(row, n: int, what: str) -> list:
-    """`[row(i) for i in range(n)]` on `_workers(n)` processes: worker k of w
-    computes rows k, k + w, ..., the parent being worker 0; with one worker
-    nothing forks. The parent waits for every worker, even when a share
-    fails, then raises the first error, its own first; a worker that died
-    before reporting is a ChildProcessError naming `what` and its wait status."""
+    """`[row(i) for i in range(n)]` on `_workers(n)` processes; with one
+    worker nothing forks. Rows are handed out on demand: the tokens of runs
+    of rows, at most _TOKENS of them, are written to a pipe before forking,
+    and every process, the parent included, takes the next token until none
+    is left, so a slower process computes fewer rows. Each value is placed
+    by its row. A process stops at its first error; the parent waits for
+    every worker, then raises the error of the lowest failing row, after
+    naming a worker that died before reporting in a ChildProcessError with
+    `what` and its wait status."""
     w = _workers(n)
-
-    def share(k: int) -> list:
-        return [row(i) for i in range(k, n, w)]
-
+    if w == 1:
+        return [row(i) for i in range(n)]
+    per = -(-n // _TOKENS)
+    tokens, fill = os.pipe()
+    try:
+        os.write(fill, np.arange(0, n, per, dtype="<u4").tobytes())
+    finally:
+        os.close(fill)
+    take = partial(_take, row, tokens, n, per)
     pids, pipes, sent = [], [], []
     try:
-        for k in range(1, w):
-            pid, pipe = _fork_worker(partial(share, k), pipes)
+        for _ in range(1, w):
+            pid, pipe = _fork_worker(take, pipes)
             pids.append(pid)
             pipes.append(pipe)
-        shares = [share(0)]
+        results = [take()]
         sent = [pipe.read() for pipe in pipes]
     finally:
+        # drained first, so the workers stop after their current rows when
+        # the parent was interrupted
+        while os.read(tokens, 1 << 16):
+            pass
+        os.close(tokens)
         # closed before the waits, so a worker still writing fails and exits
         for pipe in pipes:
             pipe.close()
@@ -113,11 +152,16 @@ def fork_rows(row, n: int, what: str) -> list:
             code = os.waitstatus_to_exitcode(status)
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise ChildProcessError(f"{what} worker {k} (pid {pid}) {how} before reporting")
-        rows, err = pickle.loads(msg)
+        result, err = pickle.loads(msg)
         if err is not None:
             raise err
-        shares.append(rows)
-    out = [None] * n
-    for k, rows in enumerate(shares):
-        out[k::w] = rows
+        results.append(result)
+    out, failed = [None] * n, []
+    for done, failure in results:
+        for i, value in done:
+            out[i] = value
+        if failure is not None:
+            failed.append(failure)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return out

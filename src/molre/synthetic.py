@@ -67,9 +67,16 @@ def _inplane_center(rng, yc, xc, ay, ax, gz, rho_max=0.55):
     return yc + rho * ay * gz * np.sin(phi), xc + rho * ax * gz * np.cos(phi)
 
 
+def _slab(z0: float, dz: float, s: int) -> slice:
+    """The slices within dz of z0 and a spare one on each side, against
+    rounding: a mask over them covers a region that reaches no further."""
+    return slice(max(0, int(np.floor(z0 - dz)) - 1), min(s, int(np.ceil(z0 + dz)) + 2))
+
+
 def build_volume(rng: RngStream, labels: np.ndarray, cfg: SynthConfig) -> np.ndarray:
     """Render one volume for a fixed label row, consuming draws from `rng`
-    in a fixed order (anatomy, texture, lesions by class index, distractors)."""
+    in a fixed order (anatomy, texture, lesions by class index, distractors).
+    Each landmark, lesion and distractor is drawn on the z-slab it covers."""
     s, h, w = cfg.shape
     zz = np.arange(s, dtype=np.float64)[:, None, None]
     yy = np.arange(h, dtype=np.float64)[None, :, None]
@@ -86,46 +93,46 @@ def build_volume(rng: RngStream, labels: np.ndarray, cfg: SynthConfig) -> np.nda
     ey = ((yy - yc) / ay) ** 2
     ex = ((xx - xc) / ax) ** 2
     e = ez + ey + ex
-    head = e <= 1.0
     brain = e <= brain_k ** 2
-
-    v = np.full(cfg.shape, AIR_HU, dtype=np.float64)
-    v[head] = SKULL_HU
+    v = np.where(e <= 1.0, SKULL_HU, AIR_HU)
 
     # smooth parenchymal texture
     field = gaussian_filter(rng.normal(0.0, 1.0, size=cfg.shape), sigma=(1.0, 2.0, 2.0))
     std = field.std()
     if std > 0:
         field *= 3.0 / std
-    v[brain] = TISSUE_HU + field[brain]
+    np.add(field, TISSUE_HU, out=v, where=brain)
 
     # z landmarks: air sinus (low), paired ventricles (mid), calc streak (high)
     sz0 = (rng.uniform(0.10, 0.22) * (s - 1))
     sy0 = yc + 0.22 * h * rng.uniform(0.9, 1.1)
+    sl = _slab(sz0, 0.06 * s, s)
     sinus = (
-        ((zz - sz0) / (0.06 * s)) ** 2
+        ((zz[sl] - sz0) / (0.06 * s)) ** 2
         + ((yy - sy0) / (0.09 * h)) ** 2
         + ((xx - xc) / (0.10 * w)) ** 2
     ) <= 1.0
-    v[sinus & brain] = -850.0
+    v[sl][sinus & brain[sl]] = -850.0
 
     vz0 = zc + rng.uniform(-0.03, 0.03) * s
+    sl = _slab(vz0, 0.09 * s, s)
     for side in (-1.0, 1.0):
         vx0 = xc + side * 0.10 * w * rng.uniform(0.9, 1.1)
         vent = (
-            ((zz - vz0) / (0.09 * s)) ** 2
+            ((zz[sl] - vz0) / (0.09 * s)) ** 2
             + ((yy - yc) / (0.16 * h)) ** 2
             + ((xx - vx0) / (0.05 * w)) ** 2
         ) <= 1.0
-        v[vent & brain] = 8.0
+        v[sl][vent & brain[sl]] = 8.0
 
     cz0 = (rng.uniform(0.74, 0.86) * (s - 1))
+    sl = _slab(cz0, 0.06 * s, s)
     calc = (
-        (np.abs(zz - cz0) <= 0.06 * s)
+        (np.abs(zz[sl] - cz0) <= 0.06 * s)
         & (np.abs(xx - xc) <= 0.015 * w + 0.6)
         & (yy > yc - 0.05 * h)
     )
-    v[calc & brain] = 140.0
+    v[sl][calc & brain[sl]] = 140.0
 
     # lesions, one per positive class, rendered in class order
     labels = np.asarray(labels)
@@ -139,14 +146,16 @@ def build_volume(rng: RngStream, labels: np.ndarray, cfg: SynthConfig) -> np.nda
         dz = min(dz, 0.5 * ((hi - lo) * (s - 1) - 1.0))
         z0 = rng.uniform(lo * (s - 1) + dz + 0.2, hi * (s - 1) - dz - 0.2)
         gz = float(np.sqrt(max(1e-6, 1.0 - ((z0 - zc) / az) ** 2)))
+        sl = _slab(z0, dz, s)
+        zsel = np.abs(zz[sl] - z0) <= dz
 
         if family == 0:  # hyperdense blob
             cy, cx = _inplane_center(rng, yc, xc, ay, ax, gz)
             ry = rng.uniform(4.0, 8.0)
             rx = rng.uniform(4.0, 8.0)
             hu = rng.uniform(62.0, 80.0)
-            m = ((zz - z0) / dz) ** 2 + ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2
-            v[(m <= 1.0) & brain] = hu
+            m = ((zz[sl] - z0) / dz) ** 2 + ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2
+            v[sl][(m <= 1.0) & brain[sl]] = hu
 
         elif family == 1:  # hypodense wedge (sector about the midline axis)
             phi0 = rng.uniform(0.0, 2.0 * np.pi)
@@ -155,9 +164,7 @@ def build_volume(rng: RngStream, labels: np.ndarray, cfg: SynthConfig) -> np.nda
             ang = np.arctan2((yy - yc) / ay, (xx - xc) / ax)
             in_sector = np.cos(ang - phi0) >= np.cos(width)
             rad2 = ey + ex
-            zsel = np.abs(zz - z0) <= dz
-            m = zsel & in_sector & (rad2 >= 0.01) & brain
-            v[m] = hu
+            v[sl][zsel & in_sector & (rad2 >= 0.01) & brain[sl]] = hu
 
         elif family == 2:  # hyperdense crescent along the inner skull
             phi0 = rng.uniform(0.0, 2.0 * np.pi)
@@ -165,36 +172,29 @@ def build_volume(rng: RngStream, labels: np.ndarray, cfg: SynthConfig) -> np.nda
             hu = rng.uniform(70.0, 90.0)
             ang = np.arctan2((yy - yc) / ay, (xx - xc) / ax)
             in_sector = np.cos(ang - phi0) >= np.cos(width)
-            rim2 = brain_k ** 2 - ez  # in-plane brain radius^2 at each z
+            rim2 = brain_k ** 2 - ez[sl]  # in-plane brain radius^2 at each z
             shell = (ey + ex >= 0.60 * rim2) & (ey + ex <= rim2)
-            zsel = np.abs(zz - z0) <= dz
-            v[zsel & in_sector & shell & brain] = hu
+            v[sl][zsel & in_sector & shell & brain[sl]] = hu
 
         else:  # family 3: diffuse texture/intensity shift across the band
             shift = rng.uniform(10.0, 16.0)
             sig = rng.uniform(5.0, 8.0)
-            grain = rng.normal(0.0, sig, size=cfg.shape)
-            zsel = np.abs(zz - z0) <= dz
-            m = zsel & brain
-            v[m] += shift + grain[m]
+            grain = rng.normal(0.0, sig, size=cfg.shape)[sl]
+            m = zsel & brain[sl]
+            v[sl][m] += shift + grain[m]
 
     # unlabeled distractors that weakly mimic families 0 and 1
-    if rng.uniform() < 0.35:
-        z0 = rng.uniform(0.1, 0.9) * (s - 1)
-        gz = float(np.sqrt(max(1e-6, 1.0 - ((z0 - zc) / az) ** 2)))
-        cy, cx = _inplane_center(rng, yc, xc, ay, ax, gz)
-        r = rng.uniform(1.0, 2.0)
-        hu = rng.uniform(110.0, 170.0)
-        m = ((zz - z0) / 1.0) ** 2 + ((yy - cy) / r) ** 2 + ((xx - cx) / r) ** 2
-        v[(m <= 1.0) & brain] = hu
-    if rng.uniform() < 0.35:
-        z0 = rng.uniform(0.1, 0.9) * (s - 1)
-        gz = float(np.sqrt(max(1e-6, 1.0 - ((z0 - zc) / az) ** 2)))
-        cy, cx = _inplane_center(rng, yc, xc, ay, ax, gz)
-        r = rng.uniform(1.5, 3.0)
-        hu = rng.uniform(8.0, 16.0)
-        m = ((zz - z0) / 1.5) ** 2 + ((yy - cy) / r) ** 2 + ((xx - cx) / r) ** 2
-        v[(m <= 1.0) & brain] = hu
+    for dz, (r_lo, r_hi), (hu_lo, hu_hi) in ((1.0, (1.0, 2.0), (110.0, 170.0)),
+                                            (1.5, (1.5, 3.0), (8.0, 16.0))):
+        if rng.uniform() < 0.35:
+            z0 = rng.uniform(0.1, 0.9) * (s - 1)
+            gz = float(np.sqrt(max(1e-6, 1.0 - ((z0 - zc) / az) ** 2)))
+            cy, cx = _inplane_center(rng, yc, xc, ay, ax, gz)
+            r = rng.uniform(r_lo, r_hi)
+            hu = rng.uniform(hu_lo, hu_hi)
+            sl = _slab(z0, dz, s)
+            m = ((zz[sl] - z0) / dz) ** 2 + ((yy - cy) / r) ** 2 + ((xx - cx) / r) ** 2
+            v[sl][(m <= 1.0) & brain[sl]] = hu
 
     # match the f32 on-disk representation exactly
     return v.astype(np.float32).astype(np.float64)

@@ -143,13 +143,21 @@ def windowed(sample) -> np.ndarray:
     return hu_window(sample.voxels, DEFAULT_WINDOWS)
 
 
-def trunk_cache(model, dataset) -> np.ndarray:
+def trunk_cache(model, dataset, crcs: list | None = None) -> np.ndarray:
     """Frozen-trunk features for every sample: (N, S, p) on the slice path,
     (N, p) on the volume path. Valid across epochs because the trunk never
     trains and cached features skip augmentation. The samples are read,
-    windowed and embedded on every CPU (`parallel.fork_rows`)."""
-    return np.stack(fork_rows(lambda i: model.trunk_features(windowed(dataset.sample(i))),
-                              len(dataset), "trunk"))
+    windowed and embedded on every CPU (`parallel.fork_rows`); `crcs`, if
+    given, is filled with each sample's .vol CRC32, from that one read."""
+
+    def embed(i):
+        sample = dataset.sample(i)
+        return model.trunk_features(windowed(sample)), sample.crc32
+
+    rows = fork_rows(embed, len(dataset), "trunk")
+    if crcs is not None:
+        crcs[:] = [crc for _, crc in rows]
+    return np.stack([feats for feats, _ in rows])
 
 
 # the files whose code windows, embeds and stacks the stored features; an
@@ -173,7 +181,8 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
     name, size and CRC32. The features are records `features.<k>` of
     consecutive rows within _CHUNK_BYTES; a call reads and CRCs only the
     records and .vol files that hold `rows`. A missing store is built from
-    every row, on every CPU (`trunk_cache`). One that fails a checksum a call
+    every row, on every CPU (`trunk_cache`), which reads each .vol file once
+    and CRCs the bytes it embeds. One that fails a checksum a call
     reads, or was built by other code or from other .vol files, is rebuilt
     with one line on stderr; it is never served. If the store cannot be
     written, the computed features are returned all the same."""
@@ -226,8 +235,8 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
                                           ("vol_crc32", ".vol files")) if k in differs]
             print(f"feature store {path} was built from other {' and '.join(other) or 'data'}; "
                   "rebuilding", file=sys.stderr)
-    key["vol_crc32"] = [zlib.crc32(Path(f).read_bytes()) for f in files]
-    feats = trunk_cache(model, everything)
+    key["vol_crc32"] = []
+    feats = trunk_cache(model, everything, key["vol_crc32"])
     try:
         chunks = {name: feats[c * per:(c + 1) * per] for c, name in enumerate(names)}
         save_checkpoint(path, chunks, {"key": key})

@@ -21,6 +21,7 @@ import json
 import os
 import secrets
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +46,7 @@ class VolumeSample:
     spacing: tuple[float, float, float]  # (x, y, z) millimeters
     labels: np.ndarray          # (C,) 0/1
     stream_id: int = 0          # id of the rng stream that owns this sample
+    crc32: int | None = None    # CRC32 of the file it was read from
 
     def __post_init__(self):
         self.voxels = np.asarray(self.voxels, dtype=np.float64)
@@ -82,6 +84,8 @@ def write_volume(path: Path, sample: VolumeSample) -> None:
 
 
 def read_volume(path: Path, sample_id: str, labels, stream_id: int = 0) -> VolumeSample:
+    """The sample stored at `path`, which is read once, whole: the sample
+    keeps the file's CRC32."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if head[:4] != VOLUME_MAGIC:
@@ -92,12 +96,14 @@ def read_volume(path: Path, sample_id: str, labels, stream_id: int = 0) -> Volum
         if version != VOLUME_VERSION:
             raise DataError(f"{path}: unsupported volume format version {version}")
         n = 4 * s * h * w
+        size = os.fstat(fh.fileno()).st_size
         # checked before reading, so a corrupt shape cannot ask for a huge buffer
-        if os.fstat(fh.fileno()).st_size < _HEADER.size + n:
+        if size < _HEADER.size + n:
             raise DataError(f"{path}: truncated voxel payload")
-        raw = fh.read(n)
-    voxels = np.frombuffer(raw, dtype="<f4").reshape(s, h, w).astype(np.float64)
-    return VolumeSample(sample_id, voxels, (sx, sy, sz), labels, stream_id)
+        raw = fh.read(size - _HEADER.size)  # to the end, so the CRC32 is the file's
+    voxels = np.frombuffer(raw, dtype="<f4", count=s * h * w).reshape(s, h, w).astype(np.float64)
+    return VolumeSample(sample_id, voxels, (sx, sy, sz), labels, stream_id,
+                        zlib.crc32(raw, zlib.crc32(head)))
 
 
 def write_manifest(root: Path, manifest: dict) -> None:

@@ -105,20 +105,22 @@ def _cpus(monkeypatch, n):
 
 
 def test_synth_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
-    rendered = []  # the parent's list: a worker appends to its own copy
+    log = tmp_path / "rendered.log"  # appended to by every process
 
     def counted(i, *args):
-        rendered.append(i)
+        with open(log, "a") as fh:  # one short write: lines never interleave
+            fh.write(f"{i}\n")
         return synth_sample(i, *args)
 
     monkeypatch.setattr("molre.cli.synth_sample", counted)
     digests = {}
     for workers in (1, 3):
         _cpus(monkeypatch, workers)
-        rendered.clear()
+        log.write_text("")
         data_dir = tmp_path / f"workers-{workers}"
         assert main(["synth", *TINY, "--out", str(data_dir)]) == 0
-        assert rendered == list(range(0, 20, workers))  # the parent renders its share only
+        # rows are handed out on demand: any process may render any sample, each once
+        assert sorted(map(int, log.read_text().split())) == list(range(20))
         digests[workers] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                             for f in data_dir.iterdir()}
     assert len(digests[1]) == 21 and digests[3] == digests[1]
@@ -129,11 +131,15 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("bad", [1, 3], ids=["in-a-worker", "in-the-parent"])
-def test_synth_data_error_in_any_share_exits_3(tmp_path, monkeypatch, capfd, bad):
-    # with three workers, sample 1 is worker 1's and sample 3 the parent's
+@pytest.mark.parametrize("where", ["in-a-worker", "in-the-parent"])
+def test_synth_data_error_in_any_share_exits_3(tmp_path, monkeypatch, capfd, rendezvous, where):
+    parent = os.getpid()
+
+    # each of the three processes takes a row; the first row of the parent,
+    # or of each worker, fails
     def failing(i, *args):
-        if i == bad:
+        rendezvous(3)
+        if (os.getpid() == parent) == (where == "in-the-parent"):
             raise DataError(f"cannot render sample {i}")
         return synth_sample(i, *args)
 
@@ -141,15 +147,17 @@ def test_synth_data_error_in_any_share_exits_3(tmp_path, monkeypatch, capfd, bad
     _cpus(monkeypatch, 3)
     data_dir = tmp_path / "data"
     assert main(["synth", *TINY, "--out", str(data_dir)]) == 3
-    assert capfd.readouterr().err.splitlines() == [f"data error: cannot render sample {bad}"]
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"data error: cannot render sample [0-2]", err[0]), err
     assert not (data_dir / "manifest.json").exists()
     _no_child_left()
 
 
-def test_synth_names_a_worker_that_died_before_reporting(tmp_path, monkeypatch, capfd):
+def test_synth_names_a_worker_that_died_before_reporting(tmp_path, monkeypatch, capfd, rendezvous):
     parent = os.getpid()
 
     def dying(i, *args):
+        rendezvous(3)  # both workers take a row
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return synth_sample(i, *args)

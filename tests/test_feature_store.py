@@ -59,29 +59,35 @@ def three_workers(monkeypatch):
 
 
 class _Calls:
-    """Trunk calls logged to a file, one line per call with the caller's pid,
-    so a forked worker's calls count too. Compares, measures and clears like
-    a list of those pids."""
+    """Calls logged to a file, one line per call, so a forked worker's calls
+    count too. Iterates, compares, measures and clears like a list of those
+    lines."""
 
     def __init__(self, path: Path):
         self.path = path
         path.write_text("")
 
-    def log(self) -> None:
+    def log(self, line: str) -> None:
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
-            os.write(fd, f"{os.getpid()}\n".encode())  # one write: lines never interleave
+            os.write(fd, f"{line}\n".encode())  # one write: lines never interleave
         finally:
             os.close(fd)
 
+    def lines(self) -> list[str]:
+        return self.path.read_text().split()
+
     def pids(self) -> list[int]:
-        return [int(line) for line in self.path.read_text().split()]
+        return [int(line) for line in self.lines()]
+
+    def __iter__(self):
+        return iter(self.lines())
 
     def __len__(self) -> int:
-        return len(self.pids())
+        return len(self.lines())
 
     def __eq__(self, other) -> bool:
-        return self.pids() == other
+        return self.lines() == other
 
     def __delitem__(self, _) -> None:
         self.path.write_text("")
@@ -92,13 +98,14 @@ class _Calls:
 
 @pytest.fixture
 def trunk_calls(monkeypatch, tmp_path):
-    """Counts calls of both frozen trunks, in this process and its workers."""
+    """Counts calls of both frozen trunks, in this process and its workers,
+    logging the caller's pid."""
     calls = _Calls(tmp_path / "trunk-calls.log")
     for cls in (SliceBackbone, VolumeBackbone):
         real = cls.trunk
 
         def counted(self, x, real=real):
-            calls.log()
+            calls.log(str(os.getpid()))
             return real(self, x)
 
         monkeypatch.setattr(cls, "trunk", counted)
@@ -215,19 +222,23 @@ def test_forked_build_is_bitwise_equal_at_any_worker_count(data_dir, monkeypatch
         for store in data_dir.glob("features-*.ckpt"):
             store.unlink()
         rows = stored_features(model, data_dir)
-        built[workers] = rows, load_checkpoint(_store(data_dir))[0]
-    (rows1, records1), (rows3, records3) = built[1], built[3]
+        built[workers] = rows, *load_checkpoint(_store(data_dir))
+    (rows1, records1, sections1), (rows3, records3, sections3) = built[1], built[3]
     assert rows1.dtype == np.float64 and np.array_equal(rows3, rows1)
     assert list(records3) == list(records1)
     assert all(np.array_equal(records3[name], records1[name]) for name in records1)
+    # each .vol's CRC32, taken by whichever process embedded it, is its file's
+    files = [r["file"] for r in DiskDataset(data_dir).rows]
+    assert sections3["key"] == sections1["key"]
+    assert sections1["key"]["vol_crc32"] == [zlib.crc32((data_dir / f).read_bytes()) for f in files]
 
 
-def test_the_parent_embeds_only_its_share(data_dir, trunk_calls):
+def test_a_store_build_embeds_every_row_once(data_dir, trunk_calls, vol_reads):
     stored_features(build_model(RunConfig()), data_dir)
-    pids = trunk_calls.pids()
-    # three workers of twelve rows: the parent embeds rows 0, 3, 6 and 9
-    assert len(pids) == 12 and len(set(pids)) == 3
-    assert pids.count(os.getpid()) == 4
+    # rows are handed out on demand: any of the three processes may read and
+    # embed any row, each once
+    assert sorted(vol_reads) == _files(data_dir, "train", "val", "test")
+    assert len(trunk_calls) == 12 and len(set(trunk_calls.pids())) <= 3
 
 
 def _truncate(vol: Path) -> None:
@@ -240,15 +251,24 @@ def _two_more_slices(vol: Path) -> None:
     molre.volumes.write_volume(vol, sample)
 
 
-@pytest.mark.parametrize("row", [1, 3], ids=["in-a-worker", "in-the-parent"])
+@pytest.mark.parametrize("where", ["in-a-worker", "in-the-parent"])
 @pytest.mark.parametrize("corrupt, says", [
     (_truncate, "truncated voxel payload"),
     (_two_more_slices, "volume is (10, 16, 16), the manifest's volume_shape is (8, 16, 16)"),
 ], ids=["truncated", "other-shape"])
-def test_a_broken_vol_in_any_share_fails_the_build(data_dir, tmp_path, capfd, row, corrupt, says):
-    # with three workers, row 1 is worker 1's and row 3 the parent's
-    vol = data_dir / json.loads((data_dir / "manifest.json").read_text())["samples"][row]["file"]
-    corrupt(vol)
+def test_a_broken_vol_in_any_share_fails_the_build(data_dir, tmp_path, capfd, monkeypatch,
+                                                   rendezvous, where, corrupt, says):
+    parent, real = os.getpid(), DiskDataset.sample
+
+    # each of the three processes takes a row; the .vol of the parent's
+    # first row, or of each worker's, breaks just before it is read
+    def sample(self, i):
+        rendezvous(3)
+        if (os.getpid() == parent) == (where == "in-the-parent"):
+            corrupt(self.root / self.rows[i]["file"])
+        return real(self, i)
+
+    monkeypatch.setattr(DiskDataset, "sample", sample)
     capfd.readouterr()
     assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path)]) == 3
     err = capfd.readouterr().err.splitlines()
@@ -258,10 +278,12 @@ def test_a_broken_vol_in_any_share_fails_the_build(data_dir, tmp_path, capfd, ro
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_worker_killed_before_reporting_is_named(data_dir, tmp_path, monkeypatch, capfd):
+def test_a_worker_killed_before_reporting_is_named(data_dir, tmp_path, monkeypatch, capfd,
+                                                   rendezvous):
     parent, real = os.getpid(), SliceBackbone.trunk
 
     def dying(self, x):
+        rendezvous(3)  # both workers take a row
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(self, x)
@@ -338,25 +360,30 @@ def _eval(run: Path, out: Path) -> bytes:
 
 
 @pytest.fixture
-def vol_reads(monkeypatch):
-    """Names of the .vol files read whole, as the store's CRC32 check reads
-    them (`read_volume` opens its file instead)."""
-    reads = []
-    real = Path.read_bytes
+def vol_reads(monkeypatch, tmp_path):
+    """Names of the .vol files read, in this process and its workers: read
+    whole by the store's CRC32 check, or by `read_volume` for embedding."""
+    reads = _Calls(tmp_path / "vol-reads.log")
+    real_bytes, real_read = Path.read_bytes, molre.volumes.read_volume
 
-    def counted(self):
+    def read_bytes(self):
         if self.suffix == ".vol":
-            reads.append(self.name)
-        return real(self)
+            reads.log(self.name)
+        return real_bytes(self)
 
-    monkeypatch.setattr(Path, "read_bytes", counted)
+    def read_volume(path, *args):
+        reads.log(Path(path).name)
+        return real_read(path, *args)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    monkeypatch.setattr(molre.volumes, "read_volume", read_volume)
     return reads
 
 
 def test_a_command_crcs_the_rows_it_serves(data_dir, tmp_path, vol_reads, trunk_calls):
     train = ["train", *SETS, "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "run")]
     assert main(train) == 0
-    # the build CRCs and embeds every row
+    # the build reads every row once, and CRCs the bytes it embeds
     assert sorted(vol_reads) == _files(data_dir, "train", "val", "test") and len(trunk_calls) == 12
     del vol_reads[:], trunk_calls[:]
     assert main(train) == 0

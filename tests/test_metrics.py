@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,11 @@ def test_matches_pairwise_oracle_with_ties():
             assert auc(s, y) is None
             continue
         assert abs(auc(s, y) - _pairwise_auc(s, y)) < 1e-12
+
+
+def test_a_nan_score_gives_nan():
+    assert np.isnan(auc([0.2, np.nan, 0.7, 0.1], [1, 0, 1, 0]))
+    assert auc([np.nan, 0.5], [1, 1]) is None  # one class only: nothing to rank
 
 
 def test_degenerate_classes_return_none():
@@ -135,3 +144,42 @@ def test_write_report_files(tmp_path):
     blob = json.loads((tmp_path / "report.json").read_text())
     assert blob["mean_auc"] == rep.mean_auc
     assert blob["n_pos"] == [2, 1]
+
+
+def test_a_failed_write_leaves_the_previous_report(tmp_path, monkeypatch):
+    y = np.array([[1, 0], [0, 1], [1, 0]])
+    write_report(evaluate(np.array([[0.9, 0.2], [0.1, 0.8], [0.6, 0.4]]), y), tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in ("report.txt", "report.json")}
+    real = os.fdopen
+
+    class HalfWriter:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, *args: HalfWriter(real(fd, *args)))
+    with pytest.raises(OSError, match="no space left"):
+        write_report(evaluate(np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.6]]), y), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_importing_the_cli_leaves_out_scipy_stats():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, molre.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

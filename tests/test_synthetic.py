@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,47 @@ def test_config_validation():
         SynthConfig(num_classes=0)
     with pytest.raises(DataError):
         SynthConfig(shape=(4, 64, 64))
+
+
+# SHA-256 of synth_sample(i, SynthConfig(), seed=7).voxels: these samples hold
+# every (family, band) class and both distractors among them
+RENDER_SHA256 = {
+    0: "14492f1a4bb43b316ac85a589f015f524b33eb464390cbae2236a892e19301d6",
+    1: "e96b4a74749d1f5e6b29e64f9ea3b2277418171339f3d543f51eea8291718f1e",
+    2: "75767b8032a157f0757149a0f7d646455c42be93e9b0830e9088c2556de8b13a",
+    4: "219446aff2fbd6a7a193671bdbd16dfccbcaefb51e10b45e9e1713761ac7599a",
+    7: "fc228397bf7163afc77bde3395fec88d06a9377a2f6754caf20a4fa8c40b23c4",
+    8: "6ffeded85c6b72cbdc32a953aa87ebc190ad565e13f60d8a34068f6f6b171400",
+    10: "342c2df939cfac6199ce9f11604dea1851a489ac4aa23d56c2efcaefe908b805",
+    12: "434bc84170c5cba5a7334446715dfd8584c214e946a378be62295597bc01722e",
+    24: "817b6cb444ff50af20747d3dd546980ec279fe2cf38199ef75d19a98fca30e05",
+    70: "4b9a503bbfe26b99aef43c4c422cc98217d65b5f42450dc89638e197ef1e0e29",
+    112: "732b512e735c35ce791733406a0aa94bb3f965d0174200929dad99e491c4426d",
+}
+
+
+def test_pinned_samples_cover_every_class_and_both_distractors(monkeypatch):
+    distractors = []
+    real = RngStream.uniform
+
+    def uniform(self, *args, **kwargs):
+        value = real(self, *args, **kwargs)
+        if not args and not kwargs:  # only the two distractor draws take no bounds
+            distractors.append(value < 0.35)
+        return value
+
+    monkeypatch.setattr(RngStream, "uniform", uniform)
+    hit = [False, False]
+    classes = set()
+    for i in RENDER_SHA256:
+        del distractors[:]
+        classes |= set(np.flatnonzero(synth_sample(i, CFG, seed=7).labels).tolist())
+        assert len(distractors) == 2
+        hit = [a or b for a, b in zip(hit, distractors)]
+    assert classes == set(range(12)) and hit == [True, True]
+
+
+@pytest.mark.parametrize("i", sorted(RENDER_SHA256))
+def test_rendered_voxels_keep_their_bytes(i):
+    voxels = synth_sample(i, CFG, seed=7).voxels
+    assert hashlib.sha256(voxels.tobytes()).hexdigest() == RENDER_SHA256[i]

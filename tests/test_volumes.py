@@ -1,5 +1,6 @@
 import os
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def test_volume_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "again.mlvx"
     write_volume(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_a_read_sample_keeps_its_files_crc32(tmp_path):
+    path = tmp_path / "v0.mlvx"
+    write_volume(path, _sample())
+    assert read_volume(path, "v0", [1, 0, 1]).crc32 == zlib.crc32(path.read_bytes())
+    # bytes past the voxels are read and CRC'd too, as a whole-file check reads them
+    path.write_bytes(path.read_bytes() + b"tail")
+    assert read_volume(path, "v0", [1, 0, 1]).crc32 == zlib.crc32(path.read_bytes())
+    assert _sample().crc32 is None
 
 
 def test_read_rejects_bad_magic(tmp_path):
