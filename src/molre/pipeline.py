@@ -5,13 +5,17 @@ The stubs stand in for large pretrained feature extractors: their weights are
 drawn once from a seed and never receive gradients. `SliceBackbone` embeds
 single slices with 3x3 convs (the 2D path), `VolumeBackbone` embeds a whole
 volume with 3x3x3 convs (the 3D path). Both run one channels-first conv body
-(a padded copy, one strided copy per kernel tap into the column matrix, then
-`W @ cols`) depth-first: every conv over one block of inputs, then the next
-block. A block holds as many inputs as keep its largest column matrix within
-_BLOCK_BYTES, and at least one: 7 slices or 1 volume at 32x64x64, at one
-BLAS thread (`parallel.one_blas_thread`). Then come a global mean pool, a row
-standardization and a linear projection, written once in their shared base;
-the adapters replace or extend that projection.
+(a copy into a zero-bordered padded array, one strided copy of that array
+into the column matrix, then `W @ cols`) depth-first: every conv over one
+block of inputs, then the next block. A block holds as many inputs as keep
+its largest column matrix within _BLOCK_BYTES, and at least one: 7 slices or
+1 volume at 32x64x64, at one BLAS thread (`parallel.one_blas_thread`). Each
+backbone keeps the convs' buffers in a scratch arena, one set per (block
+shape, weight shape), for one trunk input shape at a time: the padded
+border is zeroed once, and a conv allocates only for shapes it has not
+seen. Then come a global mean pool, a row standardization and a linear
+projection, written once in their shared base; the adapters replace or
+extend that projection.
 
 `AttentionPooler` collapses a volume's S slice features into one vector with
 a single learnable query; `ClassifierHead` scores the C findings with
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .parallel import one_blas_thread
 from .preprocess import DEFAULT_WINDOWS
@@ -43,27 +48,50 @@ def _rownorm(z: np.ndarray) -> np.ndarray:
     return (z - mu) / (sd + _NORM_EPS)
 
 
-def _conv_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3(x3) stride-2 pad-1 convolution + ReLU over any spatial rank.
-
-    Works channels-first: the (n, ci, *spatial) input is padded into a
-    zeroed (ci, n, *spatial+2) array, and the column matrix
-    (ci, 3, ..., 3, n, *out) is filled with one strided copy per kernel tap,
-    so `W @ cols` needs no transpose. Returns the (n, co, *out) view of the
-    (co, n, *out) result, which the next conv reads without a copy."""
-    n, ci, *spatial = x.shape
-    taps = (3,) * len(spatial)
+def _conv_buffers(x_shape: tuple, w_shape: tuple) -> tuple:
+    """The buffers of one conv: the zeroed padded input, the column matrix,
+    a read-only strided view of the padded input shaped like the column
+    matrix, and the GEMM output."""
+    n, ci, *spatial = x_shape
     out = [(s + 1) // 2 for s in spatial]
     xp = np.zeros((ci, n, *(s + 2 for s in spatial)))
+    cols = np.empty((ci, *(3 for _ in spatial), n, *out))
+    # view[c, *tap, m, *o] = xp[c, m, *(tap + 2 * o)]
+    sc, sm, *ss = xp.strides
+    view = as_strided(xp, cols.shape, (sc, *ss, sm, *(2 * s for s in ss)), writeable=False)
+    y = np.empty((w_shape[0], n * math.prod(out)))
+    return xp, cols, view, y
+
+
+def _conv_relu(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, arena: dict | None = None
+) -> np.ndarray:
+    """3x3(x3) stride-2 pad-1 convolution + ReLU over any spatial rank.
+
+    Works channels-first: the (n, ci, *spatial) input is copied into the
+    interior of a zero-bordered (ci, n, *spatial+2) array, and the column
+    matrix (ci, 3, ..., 3, n, *out) is filled from it in one strided copy,
+    so `W @ cols` needs no transpose. Returns the (n, co, *out) view of the
+    (co, n, *out) result, which the next conv reads without a copy.
+
+    With `arena`, a dict, the buffers are kept in it under (input shape,
+    weight shape) and reused by the next call with those shapes: the border
+    is zeroed once, and the returned view is overwritten by that call. With
+    no arena every call allocates its own."""
+    if arena is None:
+        arena = {}  # buffers of this call alone: the caller owns the result
+    key = (x.shape, w.shape)
+    if key not in arena:
+        arena[key] = _conv_buffers(*key)
+    xp, cols, view, y = arena[key]
+    n, _, *spatial = x.shape
     xp[(..., *(slice(1, -1) for _ in spatial))] = x.swapaxes(0, 1)
-    cols = np.empty((ci, *taps, n, *out))
-    for tap in np.ndindex(*taps):
-        cols[(slice(None), *tap)] = xp[(..., *(slice(k, k + 2 * o, 2) for k, o in zip(tap, out)))]
+    np.copyto(cols, view)
     wm = w.reshape(w.shape[0], -1)
-    y = wm @ cols.reshape(wm.shape[1], -1)
+    np.matmul(wm, cols.reshape(wm.shape[1], -1), out=y)
     y += b[:, None]
     np.maximum(y, 0.0, out=y)
-    return y.reshape(wm.shape[0], n, *out).swapaxes(0, 1)
+    return y.reshape(wm.shape[0], n, *cols.shape[-len(spatial):]).swapaxes(0, 1)
 
 
 # the names the trunks call (and perfbench traces), one body for both ranks
@@ -107,6 +135,8 @@ class _Backbone:
             rng.normal(0.0, 1.0 / np.sqrt(self.trunk_dim), (feature_dim, self.trunk_dim))
         )
         self.proj_b = Tensor(np.zeros(feature_dim))
+        # the convs' buffers (see `_conv_relu`), for one input shape at a time
+        self._arena: dict = {}
 
     def _pooled(self, x, layout: str, conv) -> np.ndarray:
         """Run the convs depth-first over blocks of inputs (see the module
@@ -120,14 +150,20 @@ class _Backbone:
             spatial = [(s + 1) // 2 for s in spatial]
             cols.append(8 * ci * math.prod(self.kernel) * math.prod(spatial))
         block = max(1, _BLOCK_BYTES // max(cols))
+        # the first entry is the first conv's, whose block has the trunk
+        # input's shape: another input shape drops every buffer
+        arena = self._arena
+        if arena and next(iter(arena))[0][1:] != x.shape[1:]:
+            arena.clear()
         outs = []
         with one_blas_thread():
             for lo in range(0, x.shape[0], block):
                 h = x[lo:lo + block]
                 for w, b in zip(self.conv_w, self.conv_b):
-                    h = conv(h, w.data, b.data)
-                # the mean sums in memory order: channels-last, as the features
-                # have always been summed
+                    h = conv(h, w.data, b.data, arena)
+                # the conv output lives in the arena, and the next block
+                # overwrites it; the mean sums in memory order, channels-last,
+                # as the features have always been summed
                 h = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, 1, -1)), -1, 1)
                 outs.append(h.mean(axis=tuple(range(2, h.ndim))))
         return _rownorm(np.concatenate(outs, axis=0))

@@ -24,6 +24,7 @@ from molre.config import RunConfig
 from molre.losses import FocalLossConfig, focal_loss
 from molre.metrics import aggregate, auc, per_class_auc
 from molre.model import SliceModel
+from molre.parallel import fork_rows, one_blas_thread
 from molre.pipeline import AttentionPooler, ClassifierHead
 from molre.preprocess import (
     DEFAULT_WINDOWS,
@@ -386,16 +387,23 @@ def test_c11_directional_end_to_end():
     va = _Split(labels[sl_va], ids[sl_va])
     te = _Split(labels[sl_te], ids[sl_te])
 
-    means = {}
-    for mode in ("baseline-frozen", "lora", "molre"):
-        aucs = []
-        for seed in range(1, 6):
+    modes, seeds = ("baseline-frozen", "lora", "molre"), range(1, 6)
+    runs = [(mode, seed) for mode in modes for seed in seeds]
+
+    def run(i):
+        # the runs are independent: one a process on every CPU, each at one
+        # BLAS thread so that the processes do not contend for the CPUs
+        mode, seed = runs[i]
+        with one_blas_thread():
             cfg = RunConfig(mode=mode, seed=seed)
             trainer = Trainer(cfg, tr, va, train_cache=z[sl_tr], val_cache=z[sl_va])
             trainer.train()
             probs = predict_probs(trainer.model, z[sl_te])
-            aucs.append(aggregate(per_class_auc(probs, te.labels))["mean_auc"])
-        means[mode] = float(np.mean(aucs))
+        return aggregate(per_class_auc(probs, te.labels))["mean_auc"]
+
+    aucs = fork_rows(run, len(runs), "c11")
+    means = {mode: float(np.mean(aucs[k * len(seeds):(k + 1) * len(seeds)]))
+             for k, mode in enumerate(modes)}
 
     elapsed = time.monotonic() - t0
     line = (

@@ -142,16 +142,71 @@ def test_conv_matches_im2col_at_odd_sizes(backbone, shape):
     _assert_close(stub.trunk(x), want_feats)
 
 
+def _arena_buffers(stub):
+    # padded inputs, column matrices and GEMM outputs; the strided views
+    # are views of the padded inputs
+    return [a for xp, cols, _, y in stub._arena.values() for a in (xp, cols, y)]
+
+
+@pytest.mark.parametrize("model", [SliceModel, VolumeModel])
+def test_trunk_outputs_do_not_alias_the_arena(model):
+    m = model()
+    rng = np.random.default_rng(37)
+    vol, other = rng.uniform(0, 1, (2, 3, 32, 64, 64))
+    x = m.stub.trunk(_AS_TRUNK_INPUT[type(m.stub)](vol))
+    z = m.trunk_features(vol)
+    y = m.forward(vol[None])
+    got = [a.copy() for a in (x, z, y)]
+    m.stub.trunk(_AS_TRUNK_INPUT[type(m.stub)](other))
+    for a, g in zip((x, z, y), got):
+        assert np.array_equal(a, g)
+        assert not any(np.shares_memory(a, buf) for buf in _arena_buffers(m.stub))
+
+
+def _arena_keys(backbone, x):
+    stub = backbone()
+    stub.trunk(x)
+    return list(stub._arena)
+
+
+@pytest.mark.parametrize("backbone", [SliceBackbone, VolumeBackbone])
+def test_the_arena_holds_the_last_input_shape_only(backbone):
+    stub = backbone()
+    rng = np.random.default_rng(38)
+    x = _AS_TRUNK_INPUT[backbone](rng.uniform(0, 1, (3, 32, 64, 64)))
+    odd = _AS_TRUNK_INPUT[backbone](rng.uniform(0, 1, (3, 7, 9, 17)))
+    first = stub.trunk(x)
+    stub.trunk(odd)
+    assert list(stub._arena) == _arena_keys(backbone, odd)
+    assert np.array_equal(stub.trunk(x), first)
+    # 2D: three convs over blocks of 7 slices and the last 4; 3D: one volume
+    assert list(stub._arena) == _arena_keys(backbone, x)
+    assert len(stub._arena) == (6 if backbone is SliceBackbone else 3)
+
+
+def test_conv_without_an_arena_returns_a_new_array():
+    rng = np.random.default_rng(39)
+    x = rng.normal(size=(2, 3, 6, 7))
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    first, second = _conv_relu(x, w, b), _conv_relu(x, w, b)
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+    arena = {}
+    kept = _conv_relu(x, w, b, arena)
+    assert np.array_equal(kept, first)
+    assert np.shares_memory(_conv_relu(x, w, b, arena), kept)  # reused
+
+
 @pytest.fixture
 def conv_blocks(monkeypatch):
     """The number of inputs in each block the trunks run, from their first
     conv's calls."""
     blocks = []
 
-    def counted(x, w, b):
+    def counted(x, w, b, arena=None):
         if x.shape[1] == len(DEFAULT_WINDOWS):
             blocks.append(x.shape[0])
-        return _conv_relu(x, w, b)
+        return _conv_relu(x, w, b, arena)
 
     monkeypatch.setattr(molre.pipeline, "_conv2d_relu", counted)
     monkeypatch.setattr(molre.pipeline, "_conv3d_relu", counted)
