@@ -26,8 +26,8 @@ from pathlib import Path
 from molre.checkpoint import load_checkpoint
 from molre.cli import cmd_synth
 from molre.metrics import evaluate, param_report, write_report
+from molre.model import build_model
 from molre.training import (
-    build_model,
     checkpoint_config,
     load_model_params,
     predict_probs,

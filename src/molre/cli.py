@@ -45,12 +45,12 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .metrics import EvaluationError, evaluate, format_param_table, param_report, write_report
+from .model import build_model
 from .parallel import fork_rows
 from .synthetic import SynthConfig, class_prevalences, synth_sample
 from .training import (
     NumericalAbort,
     Trainer,
-    build_model,
     checkpoint_config,
     load_model_params,
     predict_probs,

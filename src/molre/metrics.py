@@ -103,15 +103,15 @@ def param_report(model) -> list[tuple[str, int, bool]]:
     rows: list[tuple[str, int, bool]] = []
     frozen = sum(t.size for t in model.stub.frozen_parameters().values())
     rows.append(("backbone (frozen)", frozen, False))
-    if getattr(model, "lora", None) is not None:
+    if model.lora is not None:
         rows.append(("lora adapter", _size(model.lora), True))
-    if getattr(model, "molre", None) is not None:
+    if model.molre is not None:
         experts = _size(model.molre.bank)
         router = _size(model.molre.router)
         rows.append(("molre experts", experts, True))
         rows.append(("molre router", router, True))
         rows.append(("molre total", experts + router, True))
-    if getattr(model, "pooler", None) is not None:
+    if model.pooler is not None:
         rows.append(("pooler query", _size(model.pooler), True))
     rows.append(("classifier head", _size(model.head), True))
     rows.append(("total trainable", _size(model), True))

@@ -1,7 +1,9 @@
 """Trainable model assemblies for the 2D slice path and the 3D volume path.
 
-A model bundles the frozen backbone with whatever adapts on top of it, picked
-by `mode` (one of `config.MODES`):
+A model is built from a `RunConfig` (`build_model`) and reads only its model
+block, `MODEL_KEYS`, whose defaults live in `RunConfig` alone. It bundles the
+frozen backbone with whatever adapts on top of it, picked by `mode` (one of
+`config.MODES`):
 
     baseline-frozen  head + pooling query only
     lora             + low-rank adapter on the backbone's final projection
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapters import ExpertBank, LoraAdapter, MolreLayer, Router
-from .config import MODES
+from .config import RunConfig
 from .pipeline import (
     AttentionPooler,
     ClassifierHead,
@@ -43,39 +45,43 @@ from .tensor import Tensor
 _PARTS = (("head", "head"), ("pooler", "head"), ("lora", "adapter"), ("molre", "adapter"))
 
 
+# RunConfig's model block: the only fields a model reads. They fix the tensor
+# shapes, the frozen features (stub_seed) or the adapter scale (lora_alpha),
+# so a checkpoint must match all of them (`training.load_model_params`).
+MODEL_KEYS = (
+    "mode", "num_experts", "rank", "lora_alpha", "router_hidden", "feature_dim",
+    "num_classes", "stub_seed", "stub_channels",
+)
+
+
 class _Model:
     """Frozen backbone, optional adapter, optional attention pooling, head.
-    Subclasses pick the backbone class and how raw volumes reach its trunk."""
+    Subclasses pick the backbone class, the modes they serve and how raw
+    volumes reach its trunk."""
 
     backbone: type
+    modes: tuple[str, ...]
 
-    def __init__(
-        self,
-        mode: str,
-        feature_dim: int = 32,
-        num_classes: int = 12,
-        num_experts: int = 6,
-        rank: int = 8,
-        lora_alpha: float = 16.0,
-        router_hidden: int = 256,
-        stub_seed: int = 1234,
-        stub_channels: tuple[int, int, int] = (16, 32, 64),
-    ):
-        self.mode = mode
-        self.stub = self.backbone(feature_dim, stub_channels, stub_seed)
+    def __init__(self, cfg: RunConfig):
+        if cfg.mode not in self.modes:
+            raise ValueError(f"{type(self).__name__} does not serve mode {cfg.mode!r}")
+        self.stub = self.backbone(cfg.feature_dim, tuple(cfg.stub_channels), cfg.stub_seed)
         p = self.stub.trunk_dim
-        self.lora = LoraAdapter(p, feature_dim, rank, lora_alpha) if mode == "lora" else None
+        self.lora = (
+            LoraAdapter(p, cfg.feature_dim, cfg.rank, cfg.lora_alpha)
+            if cfg.mode == "lora" else None
+        )
         self.molre = (
             MolreLayer(
                 self.stub.proj_w,
-                ExpertBank(num_experts, p, feature_dim, rank, lora_alpha),
-                Router(p, num_experts, router_hidden),
+                ExpertBank(cfg.num_experts, p, cfg.feature_dim, cfg.rank, cfg.lora_alpha),
+                Router(p, cfg.num_experts, cfg.router_hidden),
             )
-            if mode in ("molre", "molre3d")
+            if cfg.mode in ("molre", "molre3d")
             else None
         )
         self.pooler: AttentionPooler | None = None
-        self.head = ClassifierHead(feature_dim, num_classes)
+        self.head = ClassifierHead(cfg.feature_dim, cfg.num_classes)
 
     def _parts(self):
         for name, group in _PARTS:
@@ -134,15 +140,13 @@ class _Model:
 
 
 class SliceModel(_Model):
-    """2D path: per-slice features, optional adapter, attention pooling, head.
-    Keyword arguments are those of the shared base after `mode`."""
+    """2D path: per-slice features, optional adapter, attention pooling, head."""
 
     backbone = SliceBackbone
+    modes = ("baseline-frozen", "lora", "molre")
 
-    def __init__(self, mode: str = "molre", **kwargs):
-        if mode == "molre3d" or mode not in MODES:
-            raise ValueError(f"SliceModel does not support mode {mode!r}")
-        super().__init__(mode, **kwargs)
+    def __init__(self, cfg: RunConfig):
+        super().__init__(cfg)
         self.pooler = AttentionPooler(self.stub.feature_dim)
 
     def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
@@ -157,13 +161,10 @@ class SliceModel(_Model):
 
 
 class VolumeModel(_Model):
-    """3D path: one pooled feature per volume, mixture routed per volume.
-    Keyword arguments are those of the shared base; the mode is molre3d."""
+    """3D path: one pooled feature per volume, mixture routed per volume."""
 
     backbone = VolumeBackbone
-
-    def __init__(self, **kwargs):
-        super().__init__("molre3d", **kwargs)
+    modes = ("molre3d",)
 
     def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
         """Frozen trunk output for one windowed volume (M, S, H, W) -> (p,)."""
@@ -172,3 +173,9 @@ class VolumeModel(_Model):
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Full forward from raw windowed volumes (B, M, S, H, W)."""
         return self.forward_trunk_cached(self.stub.trunk(x))[0]
+
+
+def build_model(cfg: RunConfig) -> SliceModel | VolumeModel:
+    """The model of cfg's mode, built from its `MODEL_KEYS` fields; its
+    trainable parameters are drawn by `init_params`."""
+    return (VolumeModel if cfg.mode in VolumeModel.modes else SliceModel)(cfg)

@@ -19,17 +19,12 @@ def repeat_factors(labels, threshold: float) -> np.ndarray:
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     y = np.asarray(labels, dtype=np.float64)
-    n = y.shape[0]
     freq = y.mean(axis=0)
     with np.errstate(divide="ignore"):
         r_class = np.maximum(1.0, np.sqrt(threshold / freq))
     r_class[freq == 0.0] = 1.0  # absent classes cannot ask for repeats
-    r_sample = np.ones(n)
-    for i in range(n):
-        pos = y[i] == 1.0
-        if pos.any():
-            r_sample[i] = r_class[pos].max()
-    return r_sample
+    # every r_class is >= 1, so a 1 in each non-positive cell leaves the max alone
+    return np.where(y == 1.0, r_class, 1.0).max(axis=1, initial=1.0)
 
 
 def expand_indices(factors: np.ndarray, rng: RngStream) -> np.ndarray:

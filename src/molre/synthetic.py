@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .preprocess import AIR_HU
 from .rng import RngStream
 from .volumes import DataError, VolumeSample
 
@@ -32,7 +33,6 @@ BAND_RANGES = ((0.08, 0.32), (0.40, 0.60), (0.68, 0.92))
 
 TISSUE_HU = 30.0
 SKULL_HU = 700.0
-AIR_HU = -1000.0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ validation checkpoint — not the last — is what training returns.
 
 All randomness is drawn from streams keyed by (seed, purpose, epoch, ...),
 so a run never depends on how it was interrupted: resuming from a
-checkpoint replays the remaining epochs bitwise.
+checkpoint replays the remaining epochs bitwise. The model is built from
+the run's `RunConfig` by `model.build_model`, and a checkpoint loads only
+into a run whose `MODEL_KEYS` fields match its own.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .losses import FocalLossConfig, focal_loss, focal_loss_backward, prevalence_weights
 from .metrics import aggregate, per_class_auc
-from .model import SliceModel, VolumeModel
+from .model import MODEL_KEYS, build_model
 from .optim import AdamW
 from .parallel import fork_rows
 from .preprocess import DEFAULT_WINDOWS, AugmentConfig, augment, hu_window
@@ -38,13 +40,6 @@ from .rng import RngStream
 from .sampling import expand_indices, repeat_factors
 from .volumes import DiskDataset
 
-
-# RunConfig's model block: these fix the tensor shapes, the frozen features
-# (stub_seed) or the adapter scale (lora_alpha); a checkpoint must match all
-MODEL_KEYS = (
-    "mode", "num_experts", "rank", "lora_alpha", "router_hidden", "feature_dim",
-    "num_classes", "stub_seed", "stub_channels",
-)
 
 # studies per forward call in `predict_probs`
 _PREDICT_BATCH = 64
@@ -80,22 +75,6 @@ class EarlyStopState:
         if epoch < self.min_epochs:
             return False
         return epoch - max(self.best_epoch, self.min_epochs) >= self.patience
-
-
-def build_model(cfg: RunConfig):
-    kwargs = dict(
-        feature_dim=cfg.feature_dim,
-        num_classes=cfg.num_classes,
-        num_experts=cfg.num_experts,
-        rank=cfg.rank,
-        lora_alpha=cfg.lora_alpha,
-        router_hidden=cfg.router_hidden,
-        stub_seed=cfg.stub_seed,
-        stub_channels=tuple(cfg.stub_channels),
-    )
-    if cfg.mode == "molre3d":
-        return VolumeModel(**kwargs)
-    return SliceModel(mode=cfg.mode, **kwargs)
 
 
 def checkpoint_config(sections: dict) -> RunConfig:

@@ -23,7 +23,7 @@ from molre.cli import main
 from molre.config import RunConfig
 from molre.losses import FocalLossConfig, focal_loss
 from molre.metrics import aggregate, auc, per_class_auc
-from molre.model import SliceModel
+from molre.model import SliceModel, build_model
 from molre.parallel import fork_rows, one_blas_thread
 from molre.pipeline import AttentionPooler, ClassifierHead
 from molre.preprocess import (
@@ -37,7 +37,7 @@ from molre.rng import RngStream
 from molre.sampling import expand_indices, repeat_factors
 from molre.synthetic import SynthConfig, SyntheticDataset
 from molre.tensor import Tensor, finite_diff_grad
-from molre.training import Trainer, build_model, predict_probs, trunk_cache
+from molre.training import Trainer, predict_probs, trunk_cache
 from molre.volumes import VolumeSample
 
 
@@ -172,8 +172,8 @@ def test_c04_single_expert_matches_lora_forward():
 
 
 def test_c05_zero_init_transparency():
-    mix = SliceModel(mode="molre")
-    base = SliceModel(mode="baseline-frozen")
+    mix = SliceModel(RunConfig(mode="molre"))
+    base = SliceModel(RunConfig(mode="baseline-frozen"))
     base.stub = mix.stub
     seeds = RngStream(2)
     mix.init_params(seeds)

@@ -8,6 +8,7 @@ from molre.adapters import (
     Router,
     count_molre_params,
 )
+from molre.config import RunConfig
 from molre.model import SliceModel
 from molre.rng import RngStream
 from molre.tensor import ShapeError, Tensor, finite_diff_grad
@@ -72,7 +73,7 @@ def test_lora_backward_matches_finite_diff():
 
 def test_lora_forward_adds_frozen_base():
     # the adapter's one entry point in a model: the frozen projection plus delta
-    m = SliceModel(mode="lora", feature_dim=4, num_classes=3, rank=2)
+    m = SliceModel(RunConfig(mode="lora", feature_dim=4, num_classes=3, rank=2))
     m.init_params(RngStream(2))
     m.lora.B.data[...] = _rand((4, 2), 7)
     z = _rand((1, 3, 64), 9)

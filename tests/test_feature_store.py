@@ -23,8 +23,9 @@ import molre.volumes
 from molre.checkpoint import load_checkpoint
 from molre.cli import main
 from molre.config import RunConfig
+from molre.model import build_model
 from molre.pipeline import SliceBackbone, VolumeBackbone
-from molre.training import build_model, stored_features, trunk_cache
+from molre.training import stored_features, trunk_cache
 from molre.volumes import DiskDataset
 
 SIZES = {

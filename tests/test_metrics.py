@@ -17,6 +17,7 @@ from molre.metrics import (
     per_class_auc,
     write_report,
 )
+from molre.config import RunConfig
 from molre.model import SliceModel
 from molre.rng import RngStream
 
@@ -112,7 +113,7 @@ def test_evaluate_counts_positives():
 
 def test_param_report_totals_consistent():
     for mode in ("baseline-frozen", "lora", "molre"):
-        m = SliceModel(mode=mode)
+        m = SliceModel(RunConfig(mode=mode))
         rows = dict((r[0], r[1]) for r in param_report(m))
         live = sum(t.size for t in m.parameters().values())
         assert rows["total trainable"] == live
@@ -127,7 +128,7 @@ def test_param_report_totals_consistent():
 
 
 def test_format_param_table_is_readable():
-    m = SliceModel(mode="molre")
+    m = SliceModel(RunConfig(mode="molre"))
     text = format_param_table(param_report(m))
     assert "component" in text.splitlines()[0]
     assert "molre router" in text
@@ -137,7 +138,7 @@ def test_format_param_table_is_readable():
 def test_write_report_files(tmp_path):
     probs = np.array([[0.9, 0.2], [0.1, 0.8], [0.6, 0.4]])
     y = np.array([[1, 0], [0, 1], [1, 0]])
-    rep = evaluate(probs, y, param_table=param_report(SliceModel("lora")))
+    rep = evaluate(probs, y, param_table=param_report(SliceModel(RunConfig(mode="lora"))))
     write_report(rep, tmp_path)
     txt = (tmp_path / "report.txt").read_text()
     assert "class_01" in txt and "mean" in txt

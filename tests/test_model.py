@@ -1,13 +1,13 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from molre.config import MODES, RunConfig
-from molre.model import SliceModel, VolumeModel
+from molre.model import MODEL_KEYS, SliceModel, VolumeModel, build_model
 from molre.pipeline import SliceBackbone, VolumeBackbone
 from molre.rng import RngStream
-from molre.training import build_model
 from molre.tensor import finite_diff_grad
 
 
@@ -17,20 +17,21 @@ def _volumes(b=2, m=3, s=4, hw=16, seed=0):
 
 def test_mode_validation():
     with pytest.raises(ValueError):
-        SliceModel(mode="frozen")
+        SliceModel(RunConfig(mode="frozen"))
 
 
 def test_mode_ladder_components():
-    base = SliceModel(mode="baseline-frozen")
-    lora = SliceModel(mode="lora")
-    mix = SliceModel(mode="molre")
+    base = SliceModel(RunConfig(mode="baseline-frozen"))
+    lora = SliceModel(RunConfig(mode="lora"))
+    mix = SliceModel(RunConfig(mode="molre"))
     assert base.lora is None and base.molre is None
     assert lora.lora is not None and lora.molre is None
     assert mix.lora is None and mix.molre is not None
 
 
 def test_param_groups_partition_parameters():
-    m = SliceModel(mode="molre", feature_dim=8, num_experts=3, rank=2, router_hidden=5)
+    m = SliceModel(RunConfig(mode="molre", feature_dim=8, num_experts=3, rank=2,
+                             router_hidden=5))
     groups = m.param_groups()
     head_keys = set(groups["head"])
     adapter_keys = set(groups["adapter"])
@@ -39,10 +40,10 @@ def test_param_groups_partition_parameters():
     assert head_keys | adapter_keys == set(m.parameters())
     assert all(k.startswith(("experts.", "router.")) for k in adapter_keys)
 
-    base = SliceModel(mode="baseline-frozen")
+    base = SliceModel(RunConfig(mode="baseline-frozen"))
     assert base.param_groups()["adapter"] == {}
 
-    lo = SliceModel(mode="lora")
+    lo = SliceModel(RunConfig(mode="lora"))
     assert set(lo.param_groups()["adapter"]) == {"lora.A", "lora.B"}
 
 
@@ -50,8 +51,8 @@ def test_all_modes_agree_at_init():
     x = _volumes()
     probs = {}
     for mode in ("baseline-frozen", "lora", "molre"):
-        m = SliceModel(mode=mode, feature_dim=8, num_classes=5,
-                       num_experts=3, rank=2, router_hidden=5)
+        m = SliceModel(RunConfig(mode=mode, feature_dim=8, num_classes=5,
+                                 num_experts=3, rank=2, router_hidden=5))
         m.init_params(RngStream(11))
         probs[mode] = m.forward(x)
     assert np.array_equal(probs["baseline-frozen"], probs["lora"])
@@ -59,8 +60,10 @@ def test_all_modes_agree_at_init():
 
 
 def test_init_is_deterministic():
-    a = SliceModel(mode="molre", feature_dim=8, num_experts=3, rank=2, router_hidden=5)
-    b = SliceModel(mode="molre", feature_dim=8, num_experts=3, rank=2, router_hidden=5)
+    a = SliceModel(RunConfig(mode="molre", feature_dim=8, num_experts=3, rank=2,
+                             router_hidden=5))
+    b = SliceModel(RunConfig(mode="molre", feature_dim=8, num_experts=3, rank=2,
+                             router_hidden=5))
     a.init_params(RngStream(3))
     b.init_params(RngStream(3))
     for k, t in a.parameters().items():
@@ -68,8 +71,8 @@ def test_init_is_deterministic():
 
 
 def test_forward_matches_trunk_cached_path():
-    m = SliceModel(mode="molre", feature_dim=8, num_classes=5,
-                   num_experts=3, rank=2, router_hidden=5)
+    m = SliceModel(RunConfig(mode="molre", feature_dim=8, num_classes=5,
+                             num_experts=3, rank=2, router_hidden=5))
     m.init_params(RngStream(5))
     for t in m.parameters().values():  # push off the init point
         t.data += np.random.default_rng(6).normal(0, 0.05, t.data.shape)
@@ -81,8 +84,8 @@ def test_forward_matches_trunk_cached_path():
 
 @pytest.mark.parametrize("mode", ["baseline-frozen", "lora", "molre"])
 def test_slice_model_backward_matches_finite_diff(mode):
-    m = SliceModel(mode=mode, feature_dim=6, num_classes=4,
-                   num_experts=3, rank=2, router_hidden=5)
+    m = SliceModel(RunConfig(mode=mode, feature_dim=6, num_classes=4,
+                             num_experts=3, rank=2, router_hidden=5))
     m.init_params(RngStream(8))
     rng = np.random.default_rng(9)
     for t in m.parameters().values():
@@ -107,8 +110,8 @@ def test_slice_model_backward_matches_finite_diff(mode):
 
 
 def test_volume_model_forward_and_groups():
-    m = VolumeModel(feature_dim=8, num_classes=5,
-                    num_experts=3, rank=2, router_hidden=5)
+    m = VolumeModel(RunConfig(mode="molre3d", feature_dim=8, num_classes=5,
+                              num_experts=3, rank=2, router_hidden=5))
     m.init_params(RngStream(10))
     x = np.random.default_rng(11).uniform(0, 1, (2, 3, 16, 16, 16))
     probs = m.forward(x)
@@ -123,8 +126,8 @@ def test_volume_model_forward_and_groups():
 
 
 def test_volume_model_backward_matches_finite_diff():
-    m = VolumeModel(feature_dim=6, num_classes=4,
-                    num_experts=3, rank=2, router_hidden=5)
+    m = VolumeModel(RunConfig(mode="molre3d", feature_dim=6, num_classes=4,
+                              num_experts=3, rank=2, router_hidden=5))
     m.init_params(RngStream(12))
     rng = np.random.default_rng(13)
     for t in m.parameters().values():
@@ -176,3 +179,50 @@ def test_frozen_stubs_and_init_draws_are_pinned():
         model = build_model(RunConfig(mode=mode))
         model.init_params(RngStream(0))
         assert _digest(model.parameters()) == want[mode], mode
+
+
+def test_each_class_serves_only_its_modes():
+    assert SliceModel.modes + VolumeModel.modes == MODES
+    for cls, other in ((SliceModel, VolumeModel), (VolumeModel, SliceModel)):
+        for mode in other.modes + ("frozen",):
+            with pytest.raises(ValueError, match=f"{cls.__name__} does not serve mode '{mode}'"):
+                cls(RunConfig(mode=mode))
+
+
+class _Recorder:
+    """Stands in for a RunConfig and records the name of every field read."""
+
+    def __init__(self, cfg):
+        self._cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+def test_a_model_reads_only_the_model_block():
+    # a checkpoint is matched to its run on MODEL_KEYS alone
+    # (`training.load_model_params`), so they must be all a model depends on
+    other = dict(
+        volume_shape=(16, 32, 32), spacing=(0.5, 0.5, 2.0), num_samples=9, train_frac=0.5,
+        val_frac=0.2, data_dir="elsewhere", data_seed=3, gamma=1.0, weight_clamp_lo=0.1,
+        weight_clamp_hi=0.9, lr_head=0.5, lr_adapter=0.5, weight_decay=0.5, beta1=0.5,
+        beta2=0.5, adam_eps=1e-6, clip_norm=1.0, sampler_threshold=0.5, batch_size=3,
+        min_epochs=2, patience=1, max_epochs=4, augment=True, seed=5, out_dir="elsewhere",
+    )
+    default = RunConfig()
+    assert set(other) == {f.name for f in dataclasses.fields(RunConfig)} - set(MODEL_KEYS)
+    assert all(v != getattr(default, k) for k, v in other.items())
+    for mode in MODES:
+        cfg = RunConfig(mode=mode)
+        recorder = _Recorder(cfg)
+        build_model(recorder)
+        assert recorder.read <= set(MODEL_KEYS), (mode, recorder.read - set(MODEL_KEYS))
+
+        a, b = build_model(cfg), build_model(dataclasses.replace(cfg, **other))
+        a.init_params(RngStream(0))
+        b.init_params(RngStream(0))
+        for pa, pb in ((a.parameters(), b.parameters()),
+                       (a.stub.frozen_parameters(), b.stub.frozen_parameters())):
+            assert list(pa) == list(pb), mode
+            assert all(pa[k].data.tobytes() == pb[k].data.tobytes() for k in pa), mode

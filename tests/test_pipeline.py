@@ -8,6 +8,7 @@ import pytest
 
 import molre.parallel
 import molre.pipeline
+from molre.config import RunConfig
 from molre.model import SliceModel, VolumeModel
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -150,7 +151,7 @@ def _arena_buffers(stub):
 
 @pytest.mark.parametrize("model", [SliceModel, VolumeModel])
 def test_trunk_outputs_do_not_alias_the_arena(model):
-    m = model()
+    m = model(RunConfig(mode=model.modes[0]))
     rng = np.random.default_rng(37)
     vol, other = rng.uniform(0, 1, (2, 3, 32, 64, 64))
     x = m.stub.trunk(_AS_TRUNK_INPUT[type(m.stub)](vol))
@@ -234,7 +235,7 @@ def test_2d_trunk_is_bitwise_equal_over_any_block(monkeypatch, conv_blocks, budg
 def test_3d_batch_is_bitwise_equal_to_each_volume(monkeypatch, conv_blocks, budget):
     # one 32x64x64 volume's conv0 column matrix already exceeds the budget,
     # so the default runs one volume a block; 1 << 40 runs the batch as one
-    model = VolumeModel()
+    model = VolumeModel(RunConfig(mode="molre3d"))
     vols = np.random.default_rng(33).uniform(0, 1, (3, 3, 32, 64, 64))
     want = np.stack([model.trunk_features(v) for v in vols])
     del conv_blocks[:]
@@ -249,9 +250,11 @@ def _trunk_under_one_blas_thread(tmp_path, model, x):
     np.save(tmp_path / "x.npy", x)
     script = (
         "import sys, numpy as np\n"
+        "from molre.config import RunConfig\n"
         f"from molre.model import {model.__name__}\n"
         "x = np.load(sys.argv[1])\n"
-        f"np.save(sys.argv[2], {model.__name__}().trunk_features(x))\n"
+        f"cfg = RunConfig(mode={model.modes[0]!r})\n"
+        f"np.save(sys.argv[2], {model.__name__}(cfg).trunk_features(x))\n"
     )
     src = str(Path(molre.pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -268,7 +271,7 @@ def _trunk_under_one_blas_thread(tmp_path, model, x):
 def test_2d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
     x = np.random.default_rng(34).uniform(0, 1, (3, 32, 64, 64))
     assert np.array_equal(_trunk_under_one_blas_thread(tmp_path, SliceModel, x),
-                          SliceModel().trunk_features(x))
+                          SliceModel(RunConfig()).trunk_features(x))
 
 
 def test_3d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
@@ -276,7 +279,7 @@ def test_3d_trunk_is_bitwise_equal_under_one_blas_thread(tmp_path):
     # trunk pins its own
     x = np.random.default_rng(35).uniform(0, 1, (3, 32, 64, 64))
     assert np.array_equal(_trunk_under_one_blas_thread(tmp_path, VolumeModel, x),
-                          VolumeModel().trunk_features(x))
+                          VolumeModel(RunConfig(mode="molre3d")).trunk_features(x))
 
 
 def test_one_blas_thread_restores_the_callers_count(monkeypatch):
@@ -308,7 +311,7 @@ def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, cdll):
     monkeypatch.setattr(molre.parallel, "_BLAS", blas)
     x = np.random.default_rng(36).uniform(0, 1, (3, 8, 16, 16))
     with one_blas_thread():
-        z = SliceModel().trunk_features(x)
+        z = SliceModel(RunConfig()).trunk_features(x)
     assert z.shape == (8, 64) and np.all(np.isfinite(z))
 
 
@@ -477,11 +480,11 @@ def test_extract_slice_features_matches_manual():
     # the slice model's per-slice features: the projected trunk, plus the
     # adapter's update in lora mode
     x = np.random.default_rng(16).uniform(0, 1, (2, 3, 4, 16, 16))
-    base = SliceModel(mode="baseline-frozen", feature_dim=8)
+    base = SliceModel(RunConfig(mode="baseline-frozen", feature_dim=8))
     z = base.stub.trunk(slices_of(x))
     _, cache = base.forward_trunk_cached(z.reshape(2, 4, -1))
     assert np.array_equal(cache["pool"]["f"].reshape(8, -1), base.stub.project(z))
-    lora = SliceModel(mode="lora", feature_dim=8, rank=2)
+    lora = SliceModel(RunConfig(mode="lora", feature_dim=8, rank=2))
     lora.init_params(RngStream(2))
     lora.lora.B.data[...] = np.random.default_rng(17).normal(size=(8, 2))
     _, cache = lora.forward_trunk_cached(z.reshape(2, 4, -1))
@@ -492,9 +495,9 @@ def test_extract_slice_features_matches_manual():
 def _models_2d(seed, **kw):
     """A molre and a baseline-frozen slice model with one stub and equal
     head and pooler."""
-    mix = SliceModel(mode="molre", feature_dim=8, num_classes=5,
-                     num_experts=3, rank=2, router_hidden=5, **kw)
-    base = SliceModel(mode="baseline-frozen", feature_dim=8, num_classes=5, **kw)
+    mix = SliceModel(RunConfig(mode="molre", feature_dim=8, num_classes=5,
+                               num_experts=3, rank=2, router_hidden=5, **kw))
+    base = SliceModel(RunConfig(mode="baseline-frozen", feature_dim=8, num_classes=5, **kw))
     mix.init_params(RngStream(seed))
     base.init_params(RngStream(seed))
     base.stub = mix.stub
@@ -518,7 +521,8 @@ def test_forward_2d_diverges_once_experts_move():
 
 
 def test_forward_3d_transparent_at_init():
-    m = VolumeModel(feature_dim=8, num_classes=5, num_experts=3, rank=2, router_hidden=5)
+    m = VolumeModel(RunConfig(mode="molre3d", feature_dim=8, num_classes=5,
+                              num_experts=3, rank=2, router_hidden=5))
     m.init_params(RngStream(7))
     x = np.random.default_rng(20).uniform(0, 1, (2, 3, 16, 16, 16))
     with_mix = m.forward(x)

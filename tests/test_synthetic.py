@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from molre.preprocess import AIR_HU
 from molre.rng import RngStream
 from molre.synthetic import (
-    AIR_HU,
     BAND_RANGES,
     SKULL_HU,
     SynthConfig,

@@ -6,11 +6,11 @@ import pytest
 
 from molre.checkpoint import CheckpointError
 from molre.config import RunConfig
+from molre.model import build_model
 from molre.training import (
     EarlyStopState,
     NumericalAbort,
     Trainer,
-    build_model,
     predict_probs,
     trunk_cache,
     windowed,
