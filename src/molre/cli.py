@@ -18,12 +18,13 @@ file only costs one rebuild.
 `eval` rebuilds the run from the checkpoint's own config, with any `--set`
 applied on top.
 
-`synth` renders its studies, and `train` and `eval` build a missing store,
-on every CPU of the affinity mask (`parallel.fork_rows`), with the bytes of
-one process. Studies are handed out on demand, so each process takes the
-next one when it is free. A worker's error, or its death, is a data error.
-A tracer patched into this module or the trunk sees the parent's share
-only, and that share varies from run to run.
+`synth` renders its studies, `train` and `eval` build a missing store, and
+`train` embeds each augmented epoch (`augment = true`), on every CPU of the
+affinity mask (`parallel.fork_rows`), with the bytes of one process.
+Studies are handed out on demand, so each process takes the next one when
+it is free. A worker's error, or its death, is a data error. A tracer
+patched into this module or the trunk sees the parent's share only, and
+that share varies from run to run.
 
 Exit codes: 0 success, 2 config error (in the config file or `--set`), 3
 data error (a missing, malformed or corrupt manifest, `.vol` file or

@@ -17,10 +17,11 @@ adapter's update, and with no adapter the model is the frozen baseline.
 Each model has one forward path. Because the conv trunk is frozen, its
 per-sample output can be computed once and cached; `forward_trunk_cached` /
 `backward` implement the training step from that cache with explicit
-per-layer backward passes, and `forward` is the trunk followed by
+per-layer backward passes, and `forward` embeds each volume with
+`trunk_features`, as the feature store does, then calls
 `forward_trunk_cached`. `SliceModel` and `VolumeModel` differ only in the
 backbone, the attention pooling over slices, and how a raw volume reaches
-the trunk; the rest is written once in their shared base.
+the trunk (`trunk_features`); the rest is written once in their shared base.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ import numpy as np
 
 from .adapters import ExpertBank, LoraAdapter, MolreLayer, Router
 from .config import RunConfig
-from .pipeline import (
-    AttentionPooler,
-    ClassifierHead,
-    SliceBackbone,
-    VolumeBackbone,
-    slices_of,
-)
+from .pipeline import AttentionPooler, ClassifierHead, SliceBackbone, VolumeBackbone
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -93,7 +88,12 @@ class _Model:
         for name, _, part in self._parts():
             part.init(rng.child(name))
 
-    # -- trunk cache entry points ------------------------------------------
+    # -- forward paths ---------------------------------------------------------
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Probabilities for windowed volumes x (B, M, S, H, W): each volume
+        embedded by `trunk_features`, then `forward_trunk_cached`."""
+        return self.forward_trunk_cached(np.stack([self.trunk_features(v) for v in x]))[0]
 
     def forward_trunk_cached(self, z: np.ndarray) -> tuple[np.ndarray, dict]:
         """Probabilities from cached trunk features z, (B, S, p) on the slice
@@ -153,12 +153,6 @@ class SliceModel(_Model):
         """Frozen trunk output for one windowed volume (M, S, H, W) -> (S, p)."""
         return self.stub.trunk(channels_vol.swapaxes(0, 1))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Full forward from raw windowed volumes (B, M, S, H, W)."""
-        b, _, s = x.shape[:3]
-        z = self.stub.trunk(slices_of(np.asarray(x, dtype=np.float64)))
-        return self.forward_trunk_cached(z.reshape(b, s, -1))[0]
-
 
 class VolumeModel(_Model):
     """3D path: one pooled feature per volume, mixture routed per volume."""
@@ -169,10 +163,6 @@ class VolumeModel(_Model):
     def trunk_features(self, channels_vol: np.ndarray) -> np.ndarray:
         """Frozen trunk output for one windowed volume (M, S, H, W) -> (p,)."""
         return self.stub.trunk(channels_vol[None])[0]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Full forward from raw windowed volumes (B, M, S, H, W)."""
-        return self.forward_trunk_cached(self.stub.trunk(x))[0]
 
 
 def build_model(cfg: RunConfig) -> SliceModel | VolumeModel:

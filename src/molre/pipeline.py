@@ -276,10 +276,3 @@ class ClassifierHead:
 
     def parameters(self) -> dict[str, Tensor]:
         return {"head.w": self.w, "head.b": self.b}
-
-
-def slices_of(x: np.ndarray) -> np.ndarray:
-    """Flatten (B, M, S, H, W) volumes to (B*S, M, H, W) slices, batch-major:
-    row b*S + s holds slice s of volume b."""
-    b, m, s, h, w = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)).reshape(b * s, m, h, w)

@@ -125,9 +125,9 @@ def windowed(sample) -> np.ndarray:
 def trunk_cache(model, dataset, crcs: list | None = None) -> np.ndarray:
     """Frozen-trunk features for every sample: (N, S, p) on the slice path,
     (N, p) on the volume path. Valid across epochs because the trunk never
-    trains and cached features skip augmentation. The samples are read,
-    windowed and embedded on every CPU (`parallel.fork_rows`); `crcs`, if
-    given, is filled with each sample's .vol CRC32, from that one read."""
+    trains; an augmented epoch embeds its own samples here. The samples are
+    read, windowed and embedded on every CPU (`parallel.fork_rows`); `crcs`,
+    if given, is filled with each sample's .vol CRC32, from that one read."""
 
     def embed(i):
         sample = dataset.sample(i)
@@ -242,6 +242,22 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
+class _Augmented:
+    """A trainer's train set as one epoch augments it: `sample(i)` draws
+    from the `("augment", epoch, id)` stream of study i."""
+
+    def __init__(self, trainer: Trainer, epoch: int):
+        self.trainer, self.epoch = trainer, epoch
+
+    def __len__(self) -> int:
+        return len(self.trainer.train_data)
+
+    def sample(self, i: int):
+        t = self.trainer
+        sample = t.train_data.sample(i)
+        return augment(sample, t.aug_cfg, t.root.child("augment", self.epoch, sample.sample_id))
+
+
 class Trainer:
     """Owns one run: model, optimizer, loss weights, feature caches, and the
     early-stop/best-checkpoint bookkeeping."""
@@ -283,25 +299,13 @@ class Trainer:
         if self.aug_cfg is None:
             self.train_z = train_cache if train_cache is not None else trunk_cache(self.model, train_data)
         else:
-            self.train_z = None  # features recomputed per epoch under augmentation
+            self.train_z = None  # embedded afresh by each epoch (`run_epoch`)
         self.val_z = val_cache if val_cache is not None else trunk_cache(self.model, val_data)
 
         self.stopper = EarlyStopState(cfg.min_epochs, cfg.patience)
         self.epochs_done = 0
         self.history: list[dict] = []
         self.best_params: dict[str, np.ndarray] = {}
-
-    # -- per-epoch feature access -------------------------------------------
-
-    def _epoch_features(self, idx: np.ndarray, epoch: int) -> np.ndarray:
-        if self.aug_cfg is None:
-            return self.train_z[idx]
-        feats = []
-        for i in idx:
-            sample = self.train_data.sample(int(i))
-            rng = self.root.child("augment", epoch, sample.sample_id)
-            feats.append(self.model.trunk_features(windowed(augment(sample, self.aug_cfg, rng))))
-        return np.stack(feats)
 
     # -- training ------------------------------------------------------------
 
@@ -318,16 +322,19 @@ class Trainer:
 
     def run_epoch(self, epoch: int) -> float:
         """One pass over the repeat-expanded, shuffled train set; returns the
-        mean minibatch loss."""
+        mean minibatch loss. Under `augment` every train study is first
+        augmented from its `("augment", epoch, id)` stream and embedded once,
+        on every CPU (`trunk_cache`)."""
         cfg = self.cfg
+        if self.aug_cfg is not None:
+            self.train_z = trunk_cache(self.model, _Augmented(self, epoch))
         ep_rng = self.root.child("sampler", epoch)
         expanded = expand_indices(self.factors, ep_rng)
         order = expanded[ep_rng.permutation(expanded.size)]
         losses = []
         for batch_no, lo in enumerate(range(0, order.size, cfg.batch_size)):
             idx = order[lo:lo + cfg.batch_size]
-            z = self._epoch_features(idx, epoch)
-            probs, fwd_cache = self.model.forward_trunk_cached(z)
+            probs, fwd_cache = self.model.forward_trunk_cached(self.train_z[idx])
             y = self.labels[idx]
             loss = focal_loss(probs, y, self.loss_cfg)
             if not np.isfinite(loss):
@@ -375,8 +382,6 @@ class Trainer:
             "epoch": epoch,
             "train_loss": train_loss,
             "val_mean_auc": val_auc,
-            "lr_head": cfg.lr_head,
-            "lr_adapter": cfg.lr_adapter,
             "best_epoch": self.stopper.best_epoch,
             "stop": bool(stop),
         }

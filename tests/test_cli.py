@@ -4,6 +4,9 @@ import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +241,26 @@ def test_train_with_augmentation(tmp_path, capsys):
 
 def test_train_without_data_dir_exits_data(tmp_path):
     assert main(["train", *TINY, "--out", str(tmp_path / "run")]) == 3
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["count-params"], 0, None),
+    (["train"], 3, "data error:"),
+    (["count-params", "--set", "nosuch=1"], 2, "config error:"),
+], ids=["ok", "data-error", "config-error"])
+def test_python_m_molre_exits_with_the_command_code(tmp_path, args, code, prefix):
+    # the process entry point: `__main__` and the `sys.exit` in `cli.entry`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "molre", *args], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if prefix is None:
+        assert "total" in run.stdout.lower() and run.stderr == ""
+    else:
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
 
 
 def test_eval_missing_checkpoint_exits_data(tmp_path):

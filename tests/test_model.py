@@ -70,16 +70,18 @@ def test_init_is_deterministic():
         assert np.array_equal(t.data, b.parameters()[k].data), k
 
 
-def test_forward_matches_trunk_cached_path():
-    m = SliceModel(RunConfig(mode="molre", feature_dim=8, num_classes=5,
-                             num_experts=3, rank=2, router_hidden=5))
+@pytest.mark.parametrize("model", [SliceModel, VolumeModel])
+def test_forward_matches_trunk_cached_path(model):
+    # forward is the served path: trunk_features per volume, then the cached step
+    m = model(RunConfig(mode=model.modes[-1], feature_dim=8, num_classes=5,
+                        num_experts=3, rank=2, router_hidden=5))
     m.init_params(RngStream(5))
     for t in m.parameters().values():  # push off the init point
         t.data += np.random.default_rng(6).normal(0, 0.05, t.data.shape)
     x = _volumes(seed=7)
     z = np.stack([m.trunk_features(x[i]) for i in range(x.shape[0])])
     probs, _ = m.forward_trunk_cached(z)
-    assert np.allclose(m.forward(x), probs, atol=1e-15)
+    assert np.array_equal(m.forward(x), probs)
 
 
 @pytest.mark.parametrize("mode", ["baseline-frozen", "lora", "molre"])

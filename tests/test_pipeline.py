@@ -22,7 +22,6 @@ from molre.pipeline import (
     _conv3d_relu,
     _conv_relu,
     _rownorm,
-    slices_of,
 )
 from molre.parallel import one_blas_thread
 from molre.preprocess import DEFAULT_WINDOWS
@@ -468,20 +467,12 @@ def test_head_backward_matches_finite_diff():
 # -- compositions -------------------------------------------------------------
 
 
-def test_slices_of_layout():
-    x = np.arange(2 * 3 * 4 * 2 * 2, dtype=float).reshape(2, 3, 4, 2, 2)
-    flat = slices_of(x)
-    assert flat.shape == (8, 3, 2, 2)
-    # row b*S + s carries slice s of volume b, channels intact
-    assert np.array_equal(flat[5], x[1, :, 1])
-
-
 def test_extract_slice_features_matches_manual():
     # the slice model's per-slice features: the projected trunk, plus the
     # adapter's update in lora mode
     x = np.random.default_rng(16).uniform(0, 1, (2, 3, 4, 16, 16))
     base = SliceModel(RunConfig(mode="baseline-frozen", feature_dim=8))
-    z = base.stub.trunk(slices_of(x))
+    z = np.concatenate([base.trunk_features(v) for v in x])
     _, cache = base.forward_trunk_cached(z.reshape(2, 4, -1))
     assert np.array_equal(cache["pool"]["f"].reshape(8, -1), base.stub.project(z))
     lora = SliceModel(RunConfig(mode="lora", feature_dim=8, rank=2))

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+import molre.training
 from molre.checkpoint import CheckpointError
 from molre.config import RunConfig
 from molre.model import build_model
+from molre.pipeline import SliceBackbone, VolumeBackbone
+from molre.sampling import expand_indices
 from molre.training import (
     EarlyStopState,
     NumericalAbort,
@@ -127,6 +131,8 @@ def test_trainer_logs_jsonl_and_best_checkpoint(tmp_path):
         parsed = json.loads(line)
         assert parsed == rec
         assert {"epoch", "train_loss", "val_mean_auc", "best_epoch", "stop"} <= set(parsed)
+        # the learning rates are config constants, kept in the checkpoint's config
+        assert not [k for k in parsed if k.startswith("lr_")]
     assert (tmp_path / "best.ckpt").exists()  # epoch 1 improved over -inf
 
 
@@ -238,6 +244,69 @@ def test_resume_under_augmentation_is_bitwise_identical(tmp_path):
         assert np.array_equal(t.data, b.model.parameters()[name].data), name
     for name in sa:
         assert np.array_equal(sa[name], sb[name]), name
+
+
+def _augmented_run(monkeypatch, log, mode, cpus, rendezvous=None):
+    """Two augmented epochs on `cpus` CPUs. Each trunk call and each augment
+    logs `epoch pid` or `epoch pid id` to `log`, from whichever process
+    makes it; with `rendezvous`, every process takes a row of each epoch."""
+    data = FakeDataset(8, seed=4)
+    trainer = Trainer(tiny_cfg(mode=mode, augment=True, sampler_threshold=1.0,
+                               min_epochs=2, max_epochs=2), data, data)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    epoch = [0]
+
+    def write(*fields):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (" ".join(map(str, (epoch[0], os.getpid(), *fields))) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    for cls in (SliceBackbone, VolumeBackbone):
+        def trunk(self, x, real=cls.trunk):
+            write()
+            return real(self, x)
+        monkeypatch.setattr(cls, "trunk", trunk)
+
+    def augment(sample, cfg, rng, real=molre.training.augment):
+        if rendezvous is not None:
+            rendezvous(3 + 2 * (epoch[0] - 1))  # the parent and this epoch's two workers
+        write(sample.sample_id)
+        return real(sample, cfg, rng)
+
+    def run_epoch(self, e, real=Trainer.run_epoch):
+        epoch[0] = e
+        return real(self, e)
+
+    monkeypatch.setattr(molre.training, "augment", augment)
+    monkeypatch.setattr(Trainer, "run_epoch", run_epoch)
+    trainer.train()
+    monkeypatch.undo()
+    return trainer, [line.split() for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("mode", ["molre", "molre3d"])
+def test_an_augmented_epoch_embeds_each_study_once_on_every_cpu(tmp_path, monkeypatch,
+                                                                rendezvous, mode):
+    forked, lines = _augmented_run(monkeypatch, tmp_path / "forked.log", mode, 3, rendezvous)
+    ids = forked.train_data.ids
+    for e in (1, 2):
+        # a rare class repeats some study within the epoch ...
+        drawn = expand_indices(forked.factors, forked.root.child("sampler", e))
+        assert drawn.size > np.unique(drawn).size
+        # ... and yet each is augmented and embedded once, by more than one process
+        augmented = [line[2] for line in lines if line[0] == str(e) and len(line) == 3]
+        trunk = [line[1] for line in lines if line[0] == str(e) and len(line) == 2]
+        assert sorted(augmented) == ids and len(trunk) == len(ids)
+        assert len(set(trunk)) > 1, trunk
+    serial, _ = _augmented_run(monkeypatch, tmp_path / "serial.log", mode, 1)
+    assert forked.history == serial.history
+    a, b = ({**{n: t.data for n, t in run.model.parameters().items()},
+             **run.optimizer.state_tensors()} for run in (forked, serial))
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def test_load_state_rejects_mode_mismatch(tmp_path):
