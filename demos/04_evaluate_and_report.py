@@ -54,10 +54,11 @@ print(f"restored mode={cfg.mode} from epoch {sections['train_state']['epoch']} "
 # tail of the same deterministic sequence demo 03 trained on
 if not (DATA_DIR / MANIFEST_NAME).exists():
     cmd_synth(replace(cfg, data_dir=str(DATA_DIR)))
-test_data = DiskDataset(DATA_DIR, "test")
+data = DiskDataset(DATA_DIR)  # every row: the store is built for all of them
+test_data = DiskDataset(DATA_DIR, "test", data.manifest)
 
 had_store = sorted(p.name for p in DATA_DIR.glob("features-*.ckpt"))
-z = stored_features(model, test_data, test_data.index)
+z = stored_features(model, data, test_data.index)
 (store,) = DATA_DIR.glob("features-*.ckpt")
 print(f"trunk features of {len(test_data)} test studies "
       f"{'read from' if had_store else 'computed and saved to'} {store.name}")

@@ -9,11 +9,12 @@ parameter accounting.
 `train` and `eval` read the manifest once and the frozen trunk's features
 from the dataset's feature store (`training.stored_features`):
 `features-<trunk>-<digest>.ckpt` next to `manifest.json`, built by the first
-command that needs it and rebuilt, with one line on stderr, when the
-trunk's code, a `.vol` file's name or size, or the bytes of a `.vol` or of
-a store record the command serves changed (eval serves its split's rows,
-train the train and val rows), or the store is cut short. Deleting the
-file only costs one rebuild.
+command that needs it and rebuilt, with one line on stderr, when the trunk
+computes other features of a fixed canary grid, when a `.vol` file's name
+or size, or the bytes of a `.vol` or of a store record the command serves
+changed (eval serves its split's rows, train the train and val rows, and
+only the val rows when `augment = true`), or when the store is cut short.
+Deleting the file only costs one rebuild.
 
 `eval` rebuilds the run from the checkpoint's own config, with any `--set`
 applied on top.
@@ -145,11 +146,12 @@ def cmd_train(cfg: RunConfig) -> int:
     data = _dataset(cfg)
     train_data, val_data = (DiskDataset(data.root, s, data.manifest) for s in ("train", "val"))
     run_dir = Path(cfg.out_dir)
+    # an augmented run embeds its train rows afresh each epoch (`Trainer.run_epoch`)
+    n = 0 if cfg.augment else len(train_data)
     # every model of cfg has the frozen trunk of build_model(cfg)
-    feats = stored_features(build_model(cfg), data, train_data.index + val_data.index)
+    feats = stored_features(build_model(cfg), data, train_data.index[:n] + val_data.index)
     trainer = Trainer(
-        cfg, train_data, val_data, run_dir=run_dir,
-        train_cache=feats[:len(train_data)], val_cache=feats[len(train_data):],
+        cfg, train_data, val_data, run_dir=run_dir, train_cache=feats[:n], val_cache=feats[n:],
     )
     result = trainer.train()
     trainer.save_state(run_dir / "last.ckpt")

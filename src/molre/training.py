@@ -139,9 +139,9 @@ def trunk_cache(model, dataset, crcs: list | None = None) -> np.ndarray:
     return np.stack([feats for feats, _ in rows])
 
 
-# the files whose code windows, embeds and stacks the stored features; an
-# edit to any of them rebuilds every store
-TRUNK_CODE = ("preprocess.py", "pipeline.py", "model.py", "training.py", "parallel.py")
+# a fixed HU grid from air to dense bone, across all three windows: the
+# SHA-256 of its features keys the store on what the trunk computes
+_CANARY = RngStream(0).child("feature-store canary").uniform(-1000.0, 2000.0, (2, 16, 16))
 
 # a store record holds as many rows as fit this budget, and at least one
 _CHUNK_BYTES = 256 << 10
@@ -150,27 +150,26 @@ _CHUNK_BYTES = 256 << 10
 def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndarray:
     """Frozen-trunk features of manifest rows `rows` (default: all), in that
     order, as `trunk_cache` gives them, from the feature store of the dataset
-    at `root`: a directory, or a DiskDataset whose manifest is not re-read
-    (one over every row, `split` None, is used as it is).
+    at `root`: a directory, or a DiskDataset over every row (`split` None),
+    whose manifest is not re-read.
 
     The store is `features-<trunk>-<digest>.ckpt` next to manifest.json. Its
     name holds the trunk kind (2d/3d) and a digest of that kind, the SHA-256
-    of the trunk's frozen conv parameters and DEFAULT_WINDOWS; the file also
-    records the SHA-256 of the TRUNK_CODE files and each row's .vol file
-    name, size and CRC32. The features are records `features.<k>` of
-    consecutive rows within _CHUNK_BYTES; a call reads and CRCs only the
-    records and .vol files that hold `rows`. A missing store is built from
-    every row, on every CPU (`trunk_cache`), which reads each .vol file once
-    and CRCs the bytes it embeds. One that fails a checksum a call
-    reads, or was built by other code or from other .vol files, is rebuilt
-    with one line on stderr; it is never served. If the store cannot be
-    written, the computed features are returned all the same."""
-    if not isinstance(root, DiskDataset):
-        everything = DiskDataset(root)
-    elif root.split is None:
-        everything = root
-    else:
-        everything = DiskDataset(root.root, manifest=root.manifest)
+    of the trunk's frozen conv parameters and DEFAULT_WINDOWS. The file also
+    records the SHA-256 of the trunk's features of _CANARY, which every call
+    recomputes, the rows per record, and each row's .vol file name, size and
+    CRC32. The features are records `features.<k>` of consecutive rows
+    within _CHUNK_BYTES; a call reads and CRCs only the records and .vol
+    files that hold `rows`. A missing store is built from every row, on
+    every CPU (`trunk_cache`), which reads each .vol file once and CRCs the
+    bytes it embeds. One that fails a checksum a call reads, or whose trunk
+    computes another canary, or that was built from other .vol files or in
+    other records, is rebuilt with one line on stderr; it is never served.
+    If the store cannot be written, the computed features are returned all
+    the same."""
+    everything = root if isinstance(root, DiskDataset) else DiskDataset(root)
+    if everything.split is not None:
+        raise ValueError(f"stored_features needs every row, not split {everything.split!r}")
     h = hashlib.sha256()
     for name, t in model.stub.frozen_parameters().items():
         if name.startswith("backbone.conv"):  # the projection runs after the store
@@ -183,15 +182,14 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
     }
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
     path = everything.root / f"features-{key['trunk']}-{digest}.ckpt"
-    code = hashlib.sha256()
-    for name in TRUNK_CODE:
-        code.update((Path(__file__).parent / name).read_bytes())
-    key["code_sha256"] = code.hexdigest()
+    canary = model.trunk_features(hu_window(_CANARY, DEFAULT_WINDOWS))
+    key["canary_sha256"] = hashlib.sha256(canary.tobytes()).hexdigest()
     files = [os.path.join(everything.root, r["file"]) for r in everything.rows]
     key["vols"] = [[r["file"], os.stat(f).st_size] for r, f in zip(everything.rows, files)]
     # a 2D row is (slices, p), a 3D row (p,)
     row = 8 * model.stub.trunk_dim * (everything.volume_shape[0] if key["trunk"] == "2d" else 1)
     n, per = len(everything), max(1, _CHUNK_BYTES // row)
+    key["rows_per_record"] = per
     names = [f"features.{c:0{len(str((n - 1) // per))}d}" for c in range(-(-n // per))]
     want = range(n) if rows is None else rows
     served = {names[r // per] for r in want}
@@ -210,10 +208,10 @@ def stored_features(model, root: str | Path | DiskDataset, rows=None) -> np.ndar
             if not differs and served <= tensors.keys():
                 return np.stack([tensors[names[r // per]][r % per] for r in want])
             # the name's digest covers the rest of the key
-            other = [what for k, what in (("code_sha256", "trunk code"), ("vols", ".vol files"),
-                                          ("vol_crc32", ".vol files")) if k in differs]
-            print(f"feature store {path} was built from other {' and '.join(other) or 'data'}; "
-                  "rebuilding", file=sys.stderr)
+            what = {"canary_sha256": "trunk code", "rows_per_record": "record layout",
+                    "vols": ".vol files", "vol_crc32": ".vol files"}
+            other = " and ".join(what[k] for k in differs if k in what) or "data"
+            print(f"feature store {path} was built from other {other}; rebuilding", file=sys.stderr)
     key["vol_crc32"] = []
     feats = trunk_cache(model, everything, key["vol_crc32"])
     try:

@@ -4,6 +4,7 @@
 import json
 import os
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -35,6 +36,14 @@ SIZES = {
     "batch_size": "4", "min_epochs": "1", "patience": "1", "max_epochs": "1",
 }
 SETS = [a for k, v in SIZES.items() for a in ("--set", f"{k}={v}")]
+STUDY = tuple(int(n) for n in SIZES["volume_shape"].split(","))
+
+
+def _study_shaped(x) -> bool:
+    """Whether a trunk input holds one study: (S, M, H, W) slices in 2D, a
+    (1, M, S, H, W) volume in 3D. Every command also embeds the store's
+    canary, a smaller grid, which this leaves out."""
+    return (x.shape[0], *x.shape[2:]) == STUDY if x.ndim == 4 else x.shape[2:] == STUDY
 
 
 @pytest.fixture
@@ -99,14 +108,15 @@ class _Calls:
 
 @pytest.fixture
 def trunk_calls(monkeypatch, tmp_path):
-    """Counts calls of both frozen trunks, in this process and its workers,
-    logging the caller's pid."""
+    """Counts calls of both frozen trunks on a study, in this process and its
+    workers, logging the caller's pid."""
     calls = _Calls(tmp_path / "trunk-calls.log")
     for cls in (SliceBackbone, VolumeBackbone):
         real = cls.trunk
 
         def counted(self, x, real=real):
-            calls.log(str(os.getpid()))
+            if _study_shaped(x):
+                calls.log(str(os.getpid()))
             return real(self, x)
 
         monkeypatch.setattr(cls, "trunk", counted)
@@ -144,25 +154,31 @@ def test_second_train_and_eval_call_no_trunk(data_dir, tmp_path, trunk_calls, ca
 def test_store_is_read_by_another_process(data_dir, tmp_path):
     run = ["train", *SETS, "--set", f"data_dir={data_dir}"]
     assert main([*run, "--set", "mode=baseline-frozen", "--out", str(tmp_path / "a")]) == 0
-    # a fresh interpreter whose 2D trunk fails if it is ever called
+    # a fresh interpreter whose 2D trunk fails if it is ever called on a
+    # study; it embeds the canary, at either BLAS thread count, as this one did
     script = (
         "import sys\n"
         "from molre.pipeline import SliceBackbone\n"
-        "def trunk(self, x):\n"
-        "    raise SystemExit('the trunk ran')\n"
+        "def trunk(self, x, real=SliceBackbone.trunk):\n"
+        f"    if (x.shape[0], *x.shape[2:]) == {STUDY}:\n"
+        "        raise SystemExit('the trunk ran')\n"
+        "    return real(self, x)\n"
         "SliceBackbone.trunk = trunk\n"
         "from molre.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = str(Path(molre.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *run, "--set", "mode=molre", "--out", str(tmp_path / "m")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert (tmp_path / "m" / "best.ckpt").exists()
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"m{len(threads)}"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *run, "--set", "mode=molre", "--out", str(out)],
+            env={**env, **threads}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (out / "best.ckpt").exists()
 
 
 def _change_a_vol_byte(data_dir, model, monkeypatch):
@@ -181,19 +197,29 @@ def _flip_a_store_bit(data_dir, model, monkeypatch):
     return model
 
 
-def _edit_the_trunk_code(data_dir, model, monkeypatch):
-    # stands in for an edit of one of the files: the hashed code differs
-    monkeypatch.setattr(molre.training, "TRUNK_CODE", molre.training.TRUNK_CODE[:-1])
+def _mutate_a_conv(data_dir, model, monkeypatch):
+    # an edit of the trunk's maths: every 2D conv squares its output
+    def squared(x, w, b, arena=None, real=molre.pipeline._conv2d_relu):
+        h = real(x, w, b, arena)
+        return h * h
+
+    monkeypatch.setattr(molre.pipeline, "_conv2d_relu", squared)
+    return model
+
+
+def _shrink_the_records(data_dir, model, monkeypatch):
+    monkeypatch.setattr(molre.training, "_CHUNK_BYTES", molre.training._CHUNK_BYTES // 4)
     return model
 
 
 @pytest.mark.parametrize("change, stderr", [
     (_change_a_vol_byte, "was built from other .vol files; rebuilding"),
-    (_edit_the_trunk_code, "was built from other trunk code; rebuilding"),
+    (_mutate_a_conv, "was built from other trunk code; rebuilding"),
+    (_shrink_the_records, "was built from other record layout; rebuilding"),
     (lambda data_dir, model, mp: build_model(RunConfig(stub_seed=99)), ""),
     (lambda data_dir, model, mp: build_model(RunConfig(stub_channels=(8, 8, 16))), ""),
     (_flip_a_store_bit, "fails its CRC32 check"),
-], ids=["vol-byte", "trunk-code", "stub-seed", "stub-channels", "store-bit"])
+], ids=["vol-byte", "trunk-code", "record-layout", "stub-seed", "stub-channels", "store-bit"])
 def test_store_is_rebuilt(data_dir, trunk_calls, capsys, monkeypatch, change, stderr):
     model = build_model(RunConfig())
     everything = DiskDataset(data_dir)
@@ -284,9 +310,10 @@ def test_a_worker_killed_before_reporting_is_named(data_dir, tmp_path, monkeypat
     parent, real = os.getpid(), SliceBackbone.trunk
 
     def dying(self, x):
-        rendezvous(3)  # both workers take a row
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
+        if _study_shaped(x):  # not the canary, which the parent embeds first
+            rendezvous(3)  # both workers take a row
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
         return real(self, x)
 
     monkeypatch.setattr(SliceBackbone, "trunk", dying)
@@ -301,19 +328,35 @@ def test_a_worker_killed_before_reporting_is_named(data_dir, tmp_path, monkeypat
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_store_key_covers_every_file_of_the_trunk_code():
-    src = Path(molre.training.__file__).parent
-    for name in molre.training.TRUNK_CODE:
-        assert (src / name).is_file(), name
-    # the code behind trunk_cache: windowing, the stubs' shared conv body
-    # and pooling, the models' trunk_features, trunk_cache itself, the
-    # workers that stack its rows and the BLAS pin
-    for fn in (molre.training.hu_window, molre.pipeline._conv_relu, molre.pipeline._conv2d_relu,
-               molre.pipeline._conv3d_relu, molre.pipeline._Backbone._pooled,
-               molre.model.SliceModel.trunk_features, molre.model.VolumeModel.trunk_features,
-               molre.training.windowed, molre.training.trunk_cache, molre.training.fork_rows,
-               molre.pipeline.one_blas_thread.__wrapped__):
-        assert Path(fn.__code__.co_filename).name in molre.training.TRUNK_CODE, fn
+def test_a_comment_only_edit_is_served_from_the_store(data_dir, tmp_path):
+    run = ["train", *SETS, "--set", f"data_dir={data_dir}"]
+    assert main([*run, "--out", str(tmp_path / "a")]) == 0
+    store = _store(data_dir)
+    built = store.read_bytes()
+    # a copy of the package whose pipeline.py differs in one comment
+    copy = tmp_path / "src"
+    shutil.copytree(Path(molre.__file__).parent, copy / "molre",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    pipeline = copy / "molre" / "pipeline.py"
+    pipeline.write_text("# an edited comment\n" + pipeline.read_text())
+    script = (
+        "import sys\n"
+        "import molre.pipeline\n"
+        f"assert molre.pipeline.__file__ == {str(pipeline)!r}, molre.pipeline.__file__\n"
+        "from molre.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(copy)}
+    proc = subprocess.run([sys.executable, "-c", script, *run, "--out", str(tmp_path / "b")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert _stores(data_dir) == [store.name] and store.read_bytes() == built
+
+
+def test_stored_features_refuses_a_split(data_dir):
+    with pytest.raises(ValueError, match="needs every row, not split 'test'"):
+        stored_features(build_model(RunConfig()), DiskDataset(data_dir, "test"))
 
 
 def test_unwritable_store_still_trains(data_dir, tmp_path, monkeypatch, capsys):
@@ -393,6 +436,16 @@ def test_a_command_crcs_the_rows_it_serves(data_dir, tmp_path, vol_reads, trunk_
     _eval(tmp_path / "run", tmp_path / "eval")
     assert sorted(vol_reads) == _files(data_dir, "test")
     assert trunk_calls == []
+
+
+def test_an_augmented_train_serves_only_the_val_rows(data_dir, trained, tmp_path, vol_reads,
+                                                     trunk_calls):
+    del vol_reads[:], trunk_calls[:]
+    assert main(["train", *SETS, "--set", f"data_dir={data_dir}", "--set", "augment=true",
+                 "--out", str(tmp_path / "aug")]) == 0
+    # the store CRCs each val .vol; the one epoch reads and embeds each train study
+    assert sorted(vol_reads) == _files(data_dir, "train", "val")
+    assert len(trunk_calls) == len(_files(data_dir, "train"))
 
 
 def test_a_command_reads_the_manifest_once(data_dir, tmp_path, monkeypatch):
