@@ -13,15 +13,16 @@ Tensors are stored as raw float64, so a save/load round-trip is bit-exact;
 that is what makes resumed training reproduce an uninterrupted run. The same
 container holds training checkpoints and the trunk feature store.
 
-A file that fails any check raises CheckpointError: bad magic, another
-format version, a size that runs past the end of the file, bytes left after
-the last record, or a record whose CRC32 does not match, which names the
-record. Every single flipped bit is caught by one of these. A read given
-`names` CRCs and decodes only the tensor records so named, and every JSON
-record; it still walks every record header, checks every size against the
-file and rejects trailing bytes, so a truncated file is always caught, but
-a flipped bit in a record it skips is not. Files are read with `read` and
-`seek`, not mapped: a file cut short under a map kills its reader.
+A file that fails any check raises CheckpointError: bad magic, another format
+version, a size that runs past the end of the file, bytes left after the last
+record, or a record whose CRC32 fails, whose name is not UTF-8 or whose JSON
+does not parse, which names the record. Every single flipped bit is caught by
+one of these. A read given `names` CRCs and decodes only the tensor records
+so named, and every JSON record; it still walks every record header, checks
+every size against the file and rejects trailing bytes, so a truncated file
+is always caught, but a flipped bit in a record it skips is not. Files are
+read with `read` and `seek`, not mapped: a file cut short under a map kills
+its reader.
 
 Version 3 added the per-record CRC32; versions 1 and 2 are rejected. Files
 are written atomically, through `volumes.atomic_write`."""
@@ -144,12 +145,15 @@ def load_checkpoint(path: str | Path, names=None) -> tuple[dict[str, np.ndarray]
             crc = r.crc
             if r.unpack("<I", f"CRC32 of {label!r}") != (crc,):
                 raise CheckpointError(f"{path}: record {label!r} fails its CRC32 check")
-            name = raw_name.decode("utf-8")
+            try:
+                name = raw_name.decode("utf-8")
+                if kind == _KIND_JSON:
+                    sections[name] = json.loads(payload)
+            except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+                raise CheckpointError(f"{path}: record {label!r} does not decode: {e}") from None
             if kind == _KIND_TENSOR:
                 # a bytearray is writable, so the array needs no copy
                 tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims)
-            else:
-                sections[name] = json.loads(payload)
         if fh.tell() != r.size:
             raise CheckpointError(f"{path}: {r.size - fh.tell()} bytes after the last record")
     return tensors, sections

@@ -27,13 +27,14 @@ it is free. A worker's error, or its death, is a data error. A tracer
 patched into this module or the trunk sees the parent's share only, and
 that share varies from run to run.
 
-Exit codes: 0 success, 2 config error (in the config file or `--set`), 3
-data error (a missing, malformed or corrupt manifest, `.vol` file or
-checkpoint, a dataset with another class count than the run, a checkpoint
-of another format version or another run, one with no config section or
-with a config key this version does not know, or an evaluation split where
-no class has both labels), 4 numerical abort. Each error is one stderr line
-with its prefix (`config error:`, `data error:`, `numerical abort:`).
+Exit codes: 0 success, 2 config error (in the config file or `--set`), 3 data
+error (a missing, malformed or corrupt manifest, `.vol` file or checkpoint, a
+dataset with another class count than the run, a checkpoint of another format
+version or another run, one with no config section, a config key this version
+does not know or a value of another type, a record that does not decode, or
+an evaluation split where no class has both labels), 4 numerical abort. Each
+error is one stderr line with its prefix (`config error:`, `data error:`,
+`numerical abort:`).
 """
 
 from __future__ import annotations

@@ -132,19 +132,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """The config of a JSON object, such as `to_dict` wrote: each value
+        must have the type of its field's default (`_json_value`)."""
+        unknown = set(d) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in d:
-                v = d[f.name]
-                kwargs[f.name] = tuple(v) if isinstance(v, list) else v
-        return cls(**kwargs).validate()
+        return cls(**{k: _json_value(k, v) for k, v in d.items()}).validate()
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
+def _json_value(key: str, v, default=None):
+    """JSON value v as the type of key's default, or of `default`, one of its
+    elements: a float also takes an int, and a bool is only a bool."""
+    kind = type(_FIELDS[key].default if default is None else default)
+    if kind is tuple and type(v) is list:
+        return tuple(_json_value(key, x, _FIELDS[key].default[0]) for x in v)
+    if type(v) is kind or (kind is float and type(v) is int):
+        return kind(v)
+    raise ConfigError(f"config key {key!r} takes {'a list' if kind is tuple else kind.__name__}, "
+                      f"got {v!r}")
 
 
 def _parse_value(key: str, raw: str):

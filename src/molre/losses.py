@@ -1,22 +1,21 @@
 """Multi-label focal loss with prevalence-based class weights.
 
-Per element, with p the predicted probability and a_c the class weight:
+Per element, with z the logit, p = sigmoid(z) and a_c the class weight:
 
     label 1:  a_c * (1 - p)^gamma * (-ln p)
     label 0:  (1 - a_c) * p^gamma * (-ln(1 - p))
 
 averaged over batch * classes. gamma=0 with a_c=0.5 reduces to half the
-binary cross-entropy. Probabilities are clamped to [1e-12, 1 - 1e-12] before
-the logs; the clamped region contributes zero gradient.
+binary cross-entropy. Both functions take logits: ln p = -logaddexp(0, -z)
+and ln(1 - p) = -logaddexp(0, z) are finite at any logit, so nothing is
+clamped, and a confidently wrong logit keeps its full gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-_CLAMP = 1e-12
 
 
 @dataclass
@@ -33,33 +32,35 @@ class FocalLossConfig:
         return w
 
 
-def focal_loss(probs, labels, cfg: FocalLossConfig) -> float:
-    """Mean focal loss over a (B, C) batch of probabilities."""
-    p = np.asarray(getattr(probs, "data", probs), dtype=np.float64)
+def _terms(logits, labels, cfg: FocalLossConfig) -> tuple:
+    """The positive mask, the class weights, ln p and ln(1 - p) of a (B, C)
+    batch of logits."""
+    z = np.asarray(getattr(logits, "data", logits), dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"probs {p.shape} and labels {y.shape} differ")
-    a = cfg.weights_for(p.shape[-1])
-    pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-    pos = a * (1.0 - pc) ** cfg.gamma * (-np.log(pc))
-    neg = (1.0 - a) * pc ** cfg.gamma * (-np.log(1.0 - pc))
-    return float(np.mean(np.where(y == 1.0, pos, neg)))
+    if z.shape != y.shape:
+        raise ValueError(f"logits {z.shape} and labels {y.shape} differ")
+    with np.errstate(invalid="ignore"):  # a NaN logit's loss is NaN: the trainer reports it
+        lp, lq = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    return y == 1.0, cfg.weights_for(z.shape[-1]), lp, lq
 
 
-def focal_loss_backward(probs, labels, cfg: FocalLossConfig) -> np.ndarray:
-    """d(mean focal loss)/d(probs), zero where the clamp was active."""
-    p = np.asarray(getattr(probs, "data", probs), dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    a = cfg.weights_for(p.shape[-1])
+def focal_loss(logits, labels, cfg: FocalLossConfig) -> float:
+    """Mean focal loss over a (B, C) batch of logits."""
+    pos, a, lp, lq = _terms(logits, labels, cfg)
     g = cfg.gamma
-    pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-    one_m = 1.0 - pc
-    # d/dp of  -a (1-p)^g ln p   and of  -(1-a) p^g ln(1-p)
-    dpos = a * (g * one_m ** (g - 1.0) * np.log(pc) - one_m ** g / pc)
-    dneg = (1.0 - a) * (pc ** g / one_m - g * pc ** (g - 1.0) * np.log(one_m))
-    grad = np.where(y == 1.0, dpos, dneg)
-    grad[(p <= _CLAMP) | (p >= 1.0 - _CLAMP)] = 0.0
-    return grad / p.size
+    loss = np.where(pos, a * np.exp(g * lq) * -lp, (1.0 - a) * np.exp(g * lp) * -lq)
+    return float(np.mean(loss))
+
+
+def focal_loss_backward(logits, labels, cfg: FocalLossConfig) -> np.ndarray:
+    """d(mean focal loss)/d(logits)."""
+    pos, a, lp, lq = _terms(logits, labels, cfg)
+    g = cfg.gamma
+    p, q = np.exp(lp), np.exp(lq)
+    # d/dz of  -a q^g ln p  and of  -(1-a) p^g ln q,  with dp/dz = p q
+    dpos = a * q ** g * (g * p * lp - q)
+    dneg = (1.0 - a) * p ** g * (p - g * q * lq)
+    return np.where(pos, dpos, dneg) / pos.size
 
 
 def prevalence_weights(

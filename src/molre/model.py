@@ -32,7 +32,7 @@ from .adapters import ExpertBank, LoraAdapter, MolreLayer, Router
 from .config import RunConfig
 from .pipeline import AttentionPooler, ClassifierHead, SliceBackbone, VolumeBackbone
 from .rng import RngStream
-from .tensor import Tensor
+from .tensor import Tensor, sigmoid
 
 # (attribute, optimizer group) in parameter order. The AdamW arena layout and
 # the clip-norm summation follow this order, and each part draws its init
@@ -91,12 +91,12 @@ class _Model:
     # -- forward paths ---------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Probabilities for windowed volumes x (B, M, S, H, W): each volume
-        embedded by `trunk_features`, then `forward_trunk_cached`."""
-        return self.forward_trunk_cached(np.stack([self.trunk_features(v) for v in x]))[0]
+        """Probabilities for windowed volumes x (B, M, S, H, W): the sigmoid of
+        `forward_trunk_cached` on each volume's `trunk_features`."""
+        return sigmoid(self.forward_trunk_cached(np.stack([self.trunk_features(v) for v in x]))[0])
 
     def forward_trunk_cached(self, z: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Probabilities from cached trunk features z, (B, S, p) on the slice
+        """Logits from cached trunk features z, (B, S, p) on the slice
         path and (B, p) on the volume path, with the intermediate caches
         needed for backward."""
         zf = z.reshape(-1, z.shape[-1])
@@ -111,11 +111,11 @@ class _Model:
                 f = f + self.lora.delta(zf)
         if self.pooler is not None:
             f, cache["pool"] = self.pooler.forward_cached(f.reshape(*z.shape[:-1], -1))
-        probs, cache["head"] = self.head.forward_cached(f)
-        return probs, cache
+        logits, cache["head"] = self.head.forward_cached(f)
+        return logits, cache
 
-    def backward(self, cache: dict, grad_probs: np.ndarray) -> None:
-        g = self.head.backward(cache["head"], grad_probs)
+    def backward(self, cache: dict, grad_logits: np.ndarray) -> None:
+        g = self.head.backward(cache["head"], grad_logits)
         if self.pooler is not None:
             g = self.pooler.backward(cache["pool"], g).reshape(cache["zf"].shape[0], -1)
         if self.molre is not None:

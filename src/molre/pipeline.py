@@ -19,9 +19,10 @@ extend that projection.
 
 `AttentionPooler` collapses a volume's S slice features into one vector with
 a single learnable query; `ClassifierHead` scores the C findings with
-independent sigmoids. Each takes plain ndarrays through its one entry point,
-`forward_cached`. The models in `model.py` compose these with the adapters;
-each model has exactly one forward path.
+independent logits, which the focal loss takes as they are. Each takes plain
+ndarrays through its one entry point, `forward_cached`. The models in
+`model.py` compose these with the adapters; each model has exactly one
+forward path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from numpy.lib.stride_tricks import as_strided
 from .parallel import one_blas_thread
 from .preprocess import DEFAULT_WINDOWS
 from .rng import RngStream
-from .tensor import ShapeError, Tensor, sigmoid, softmax, softmax_backward
+from .tensor import ShapeError, Tensor, softmax, softmax_backward
 
 _BLOCK_BYTES = 2 << 20  # about one core's L2
 _NORM_EPS = 1e-6
@@ -246,7 +247,7 @@ class AttentionPooler:
 
 
 class ClassifierHead:
-    """Per-class sigmoid scores: multi-label, no cross-class normalization."""
+    """Per-class logits: multi-label, no cross-class normalization."""
 
     def __init__(self, feature_dim: int, num_classes: int):
         self.feature_dim = feature_dim
@@ -260,16 +261,13 @@ class ClassifierHead:
         self.b.data.fill(0.0)
 
     def forward_cached(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Probabilities (B, C) for pooled features (B, d)."""
+        """Logits (B, C) for pooled features (B, d)."""
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.feature_dim:
             raise ShapeError(f"head expects (B, {self.feature_dim}), got {h.shape}")
-        probs = sigmoid(h @ self.w.data.T + self.b.data)
-        return probs, {"h": h, "probs": probs}
+        return h @ self.w.data.T + self.b.data, {"h": h}
 
-    def backward(self, cache: dict, grad_probs: np.ndarray) -> np.ndarray:
-        p = cache["probs"]
-        glogits = grad_probs * p * (1.0 - p)
+    def backward(self, cache: dict, glogits: np.ndarray) -> np.ndarray:
         self.w.grad += glogits.T @ cache["h"]
         self.b.grad += glogits.sum(axis=0)
         return glogits @ self.w.data

@@ -38,6 +38,7 @@ from .parallel import fork_rows
 from .preprocess import DEFAULT_WINDOWS, AugmentConfig, augment, hu_window
 from .rng import RngStream
 from .sampling import expand_indices, repeat_factors
+from .tensor import sigmoid
 from .volumes import DiskDataset
 
 
@@ -227,9 +228,9 @@ def predict_probs(model, z: np.ndarray) -> np.ndarray:
     probabilities."""
     out = []
     for lo in range(0, len(z), _PREDICT_BATCH):
-        probs, _ = model.forward_trunk_cached(z[lo:lo + _PREDICT_BATCH])
-        out.append(probs)
-    return np.concatenate(out, axis=0)
+        logits, _ = model.forward_trunk_cached(z[lo:lo + _PREDICT_BATCH])
+        out.append(logits)
+    return sigmoid(np.concatenate(out, axis=0))
 
 
 @dataclass
@@ -332,12 +333,12 @@ class Trainer:
         losses = []
         for batch_no, lo in enumerate(range(0, order.size, cfg.batch_size)):
             idx = order[lo:lo + cfg.batch_size]
-            probs, fwd_cache = self.model.forward_trunk_cached(self.train_z[idx])
+            logits, fwd_cache = self.model.forward_trunk_cached(self.train_z[idx])
             y = self.labels[idx]
-            loss = focal_loss(probs, y, self.loss_cfg)
+            loss = focal_loss(logits, y, self.loss_cfg)
             if not np.isfinite(loss):
                 raise self._abort(f"loss {loss}", epoch, batch_no, idx)
-            grad = focal_loss_backward(probs, y, self.loss_cfg)
+            grad = focal_loss_backward(logits, y, self.loss_cfg)
             self.optimizer.zero_grad()
             self.model.backward(fwd_cache, grad)
             grad_norm = self.optimizer.clip_global_norm(cfg.clip_norm)

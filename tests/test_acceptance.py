@@ -252,10 +252,11 @@ def test_c08_focal_loss_reductions():
     p = rng.uniform(0.02, 0.98, size=(7, 4))
     y = (rng.uniform(size=(7, 4)) < 0.5).astype(np.float64)
     bce = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
-    plain = focal_loss(p, y, FocalLossConfig(gamma=0.0, class_weights=0.5))
+    # the loss takes logits: z = ln(p / (1 - p))
+    plain = focal_loss(np.log(p / (1 - p)), y, FocalLossConfig(gamma=0.0, class_weights=0.5))
     assert abs(plain - 0.5 * bce) <= 1e-12
 
-    scalar = focal_loss([[0.5]], [[1.0]], FocalLossConfig(gamma=2.0, class_weights=1.0))
+    scalar = focal_loss([[0.0]], [[1.0]], FocalLossConfig(gamma=2.0, class_weights=1.0))
     assert abs(scalar - 0.25 * math.log(2.0)) <= 1e-12
 
 

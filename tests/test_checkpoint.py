@@ -1,3 +1,7 @@
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +116,35 @@ def test_flipped_bit_names_the_record(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="record 'head.w' fails its CRC32 check"):
         load_checkpoint(p)
+
+
+def _append_json_record(raw: bytearray, name: bytes, doc: bytes) -> None:
+    """Append to a checkpoint's bytes one JSON record of raw `name` and `doc`
+    bytes, with its CRC32, so only decoding them can fail."""
+    raw[8:12] = struct.pack("<I", struct.unpack("<I", raw[8:12])[0] + 1)
+    body = struct.pack("<BH", 1, len(name)) + name + struct.pack("<Q", len(doc)) + doc
+    raw += body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("name, doc, says", [
+    (b"cfg\xff", b"{}", "record 'cfg\ufffd' does not decode: 'utf-8' codec can't decode"),
+    (b"cfg", b"{not json", "record 'cfg' does not decode: Expecting property name"),
+    (b"cfg", b'"\xff"', "record 'cfg' does not decode: 'utf-8' codec can't decode"),
+], ids=["name-not-utf8", "json-does-not-parse", "json-not-utf8"])
+def test_a_record_that_does_not_decode_is_named(tmp_path, name, doc, says):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(p, _tensors(), {"config": {"mode": "lora"}})
+    good = bytearray(p.read_bytes())
+    raw = good.copy()
+    _append_json_record(good, b"zzz", b"{}")
+    p.write_bytes(bytes(good))
+    assert load_checkpoint(p)[1]["zzz"] == {}  # an appended record is well formed
+    _append_json_record(raw, name, doc)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=re.escape(says)):
+        load_checkpoint(p)
+    with pytest.raises(CheckpointError, match=re.escape(says)):
+        load_checkpoint(p, names=["head.w"])
 
 
 def test_every_single_bit_flip_is_caught(tmp_path):

@@ -4,8 +4,10 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +265,23 @@ def test_python_m_molre_exits_with_the_command_code(tmp_path, args, code, prefix
         assert len(err) == 1 and err[0].startswith(prefix), err
 
 
+def test_the_commands_close_what_they_open(tmp_path):
+    # `-X dev` reports a file or other resource never closed as a
+    # ResourceWarning, on stderr: the warning is raised in a finalizer
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    for args in (["synth", *TINY, "--out", str(data_dir)],
+                 ["train", *TINY, "--set", "max_epochs=1", "--set", f"data_dir={data_dir}",
+                  "--out", str(run_dir)],
+                 ["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--out", str(tmp_path / "eval")]):
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                              "-m", "molre", *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, (args[0], run.stderr)
+        assert "ResourceWarning" not in run.stderr and "Traceback" not in run.stderr, run.stderr
+
+
 def test_eval_missing_checkpoint_exits_data(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")]) == 3
 
@@ -379,6 +398,14 @@ def _edit_ckpt_config(edit):
     return corrupt
 
 
+def _append_json_record(raw: bytearray, name: bytes, doc: bytes) -> None:
+    """Append to a checkpoint's bytes one JSON record of raw `name` and `doc`
+    bytes, with its CRC32, so only decoding them can fail."""
+    raw[8:12] = struct.pack("<I", struct.unpack("<I", raw[8:12])[0] + 1)
+    body = struct.pack("<BH", 1, len(name)) + name + struct.pack("<Q", len(doc)) + doc
+    raw += body + struct.pack("<I", zlib.crc32(body))
+
+
 def _store_as_ckpt(data_dir, ckpt):
     (store,) = data_dir.glob("features-*.ckpt")
     shutil.copy(store, ckpt)
@@ -435,6 +462,20 @@ BAD_INPUTS = [
     # a key an older version wrote: the checkpoint is at fault, not the user's config
     ("ckpt-config-unknown-key", "eval", _edit_ckpt_config(lambda c: c.update(in_channels=3)),
      "unknown config keys: ['in_channels']"),
+    ("ckpt-config-str-for-int", "eval", _edit_ckpt_config(lambda c: c.update(rank="8")),
+     "checkpoint config: config key 'rank' takes int, got '8'"),
+    ("ckpt-config-str-in-a-list", "eval",
+     _edit_ckpt_config(lambda c: c.update(stub_channels=[16, "32", 64])),
+     "config key 'stub_channels' takes int, got '32'"),
+    ("ckpt-config-null-for-float", "eval", _edit_ckpt_config(lambda c: c.update(lr_head=None)),
+     "config key 'lr_head' takes float, got None"),
+    ("ckpt-config-bool-for-int", "eval", _edit_ckpt_config(lambda c: c.update(batch_size=True)),
+     "config key 'batch_size' takes int, got True"),
+    ("ckpt-name-not-utf8", "eval", _edit_ckpt(lambda raw: _append_json_record(raw, b"zz\xff", b"{}")),
+     "record 'zz\ufffd' does not decode: 'utf-8' codec can't decode byte 0xff"),
+    ("ckpt-json-does-not-parse", "eval",
+     _edit_ckpt(lambda raw: _append_json_record(raw, b"zz", b"{not json")),
+     "record 'zz' does not decode: Expecting property name"),
     ("manifest-other-class-count", "eval", _with_classes(5),
      "has 5 classes, the run has num_classes=3"),
     ("manifest-other-class-count-train", "train", _with_classes(2),
@@ -469,4 +510,21 @@ def test_bad_input_exits_data_error(trained, tmp_path, capsys, case, command, co
     # a changed .vol file is first noticed by the feature store, on its own line
     last = err.splitlines()[-1]
     assert last.startswith("data error:") and says in last, err
-    assert "Traceback" not in err
+    assert err.count("data error:") == 1 and "Traceback" not in err
+
+
+def test_a_store_record_that_does_not_decode_is_rebuilt(trained, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    shutil.copytree(trained / "data", data_dir)
+    (store,) = data_dir.glob("features-*.ckpt")
+    built = store.read_bytes()
+    raw = bytearray(built)
+    _append_json_record(raw, b"zz", b"{not json")
+    store.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(trained / "run" / "best.ckpt"),
+                 "--set", f"data_dir={data_dir}", "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("feature store rejected (") and err.count("\n") == 1, err
+    assert "record 'zz' does not decode" in err and err.endswith("; rebuilding\n")
+    assert store.read_bytes() == built

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from molre.config import (
@@ -90,6 +92,28 @@ def test_dict_roundtrip():
 def test_from_dict_rejects_unknown():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"mode": "lora", "mystery": 1})
+
+
+@pytest.mark.parametrize("key, value, says", [
+    ("rank", "8", "'rank' takes int, got '8'"),
+    ("stub_channels", [16, "32", 64], "'stub_channels' takes int, got '32'"),
+    ("stub_channels", 16, "'stub_channels' takes a list, got 16"),
+    ("lr_head", None, "'lr_head' takes float, got None"),
+    ("augment", "yes", "'augment' takes bool, got 'yes'"),
+    ("num_experts", 2.5, "'num_experts' takes int, got 2.5"),
+    ("batch_size", True, "'batch_size' takes int, got True"),
+    ("spacing", [1.0, False, 4.0], "'spacing' takes float, got False"),
+    ("mode", 3, "'mode' takes str, got 3"),
+])
+def test_from_dict_rejects_a_value_of_another_type(key, value, says):
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        RunConfig.from_dict({key: value})
+
+
+def test_from_dict_takes_an_int_for_a_float():
+    cfg = RunConfig.from_dict({"lora_alpha": 16, "spacing": [1, 1, 4]})
+    assert cfg == RunConfig() and type(cfg.lora_alpha) is float
+    assert all(type(s) is float for s in cfg.spacing)
 
 
 def test_overrides_apply_and_validate():

@@ -8,7 +8,7 @@ from molre.config import MODES, RunConfig
 from molre.model import MODEL_KEYS, SliceModel, VolumeModel, build_model
 from molre.pipeline import SliceBackbone, VolumeBackbone
 from molre.rng import RngStream
-from molre.tensor import finite_diff_grad
+from molre.tensor import finite_diff_grad, sigmoid
 
 
 def _volumes(b=2, m=3, s=4, hw=16, seed=0):
@@ -80,8 +80,8 @@ def test_forward_matches_trunk_cached_path(model):
         t.data += np.random.default_rng(6).normal(0, 0.05, t.data.shape)
     x = _volumes(seed=7)
     z = np.stack([m.trunk_features(x[i]) for i in range(x.shape[0])])
-    probs, _ = m.forward_trunk_cached(z)
-    assert np.array_equal(m.forward(x), probs)
+    logits, _ = m.forward_trunk_cached(z)
+    assert np.array_equal(m.forward(x), sigmoid(logits))
 
 
 @pytest.mark.parametrize("mode", ["baseline-frozen", "lora", "molre"])
@@ -95,7 +95,7 @@ def test_slice_model_backward_matches_finite_diff(mode):
     z = rng.normal(size=(2, 3, 64))
     g = rng.normal(size=(2, 4))
 
-    probs, cache = m.forward_trunk_cached(z)
+    _, cache = m.forward_trunk_cached(z)
     m.backward(cache, g)
 
     for name, t in m.parameters().items():
@@ -123,7 +123,7 @@ def test_volume_model_forward_and_groups():
     assert set(groups["adapter"]) == set(m.molre.parameters())
 
     # mixture is transparent at init: same probs as the frozen stub alone
-    bare = m.head.forward_cached(m.stub.project(m.stub.trunk(x)))[0]
+    bare = sigmoid(m.head.forward_cached(m.stub.project(m.stub.trunk(x)))[0])
     assert np.array_equal(bare, probs)
 
 
@@ -137,7 +137,7 @@ def test_volume_model_backward_matches_finite_diff():
     z = rng.normal(size=(3, 64))
     g = rng.normal(size=(3, 4))
 
-    probs, cache = m.forward_trunk_cached(z)
+    _, cache = m.forward_trunk_cached(z)
     m.backward(cache, g)
 
     for name, t in m.parameters().items():

@@ -427,8 +427,8 @@ def test_pooler_shape_validation():
 def test_head_zero_init_gives_half_probs():
     head = ClassifierHead(8, 3)
     head.init(RngStream(1))
-    probs = head.forward_cached(np.random.default_rng(10).normal(size=(4, 8)))[0]
-    assert np.all(probs == 0.5)
+    logits = head.forward_cached(np.random.default_rng(10).normal(size=(4, 8)))[0]
+    assert np.all(sigmoid(logits) == 0.5)
 
 
 def test_head_matches_sigmoid_formula():
@@ -437,7 +437,7 @@ def test_head_matches_sigmoid_formula():
     head.b.data[...] = [0.3, -0.2]
     h = np.random.default_rng(12).normal(size=(3, 4))
     want = sigmoid(h @ head.w.data.T + head.b.data)
-    assert np.array_equal(head.forward_cached(h)[0], want)
+    assert np.array_equal(sigmoid(head.forward_cached(h)[0]), want)
 
 
 def test_head_backward_matches_finite_diff():
@@ -447,7 +447,7 @@ def test_head_backward_matches_finite_diff():
     g = np.random.default_rng(15).normal(size=(4, 3))
 
     head.w.zero_grad(); head.b.zero_grad()
-    probs, cache = head.forward_cached(h)
+    _, cache = head.forward_cached(h)
     gh = head.backward(cache, g)
 
     def loss_w(t):
@@ -517,6 +517,6 @@ def test_forward_3d_transparent_at_init():
     m.init_params(RngStream(7))
     x = np.random.default_rng(20).uniform(0, 1, (2, 3, 16, 16, 16))
     with_mix = m.forward(x)
-    without = m.head.forward_cached(m.stub.project(m.stub.trunk(x)))[0]
+    without = sigmoid(m.head.forward_cached(m.stub.project(m.stub.trunk(x)))[0])
     assert np.array_equal(with_mix, without)
     assert with_mix.shape == (2, 5)

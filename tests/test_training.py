@@ -160,6 +160,7 @@ def test_a_resumed_run_rewinds_the_log_to_its_checkpoint_and_a_new_one_restarts_
     assert [json.loads(l) for l in log.read_text().splitlines()] == again.history
 
 
+@pytest.mark.filterwarnings("error")  # the abort is the one report: numpy warns of nothing
 def test_trainer_abort_on_nonfinite_loss():
     data = FakeDataset(8)
     trainer = Trainer(tiny_cfg(), data, data)
