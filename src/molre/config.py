@@ -2,16 +2,19 @@
 
 Every knob of a run lives in `RunConfig` with a documented default, and
 every key changes the run; a config file only lists the keys it overrides.
-Unknown keys, malformed values, and mode-inconsistent settings are all
-rejected at load time with the offending key named. `--set key=value`
-overrides reuse the same parser, so a file plus overrides is exactly
-equivalent to an edited file. A checkpoint keeps its run's config as a
-`to_dict` section, read back by `training.checkpoint_config`.
+One reader, `_value`, turns config text (a file line or `--set key=value`,
+so a file plus overrides is exactly an edited file) and checkpoint JSON
+(`from_dict`, read back by `training.checkpoint_config`) into the type of
+the key's default. `validate` then checks each numeric key against its
+interval in one table, `_RANGES`, which NaN fails, and the few rules that
+span keys. Unknown keys, malformed, NaN, infinite and out-of-range values
+are all rejected at load time with the offending key named.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,55 +75,39 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> "RunConfig":
+        """Self, when every key is in its `_RANGES` interval and the rules
+        that span keys or shapes hold; ConfigError naming the key if not."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode in ("molre", "molre3d") and self.num_experts < 1:
-            raise ConfigError(f"mode {self.mode} needs num_experts >= 1")
-        if not self.stub_channels or min(self.stub_channels) < 1:
+        if not self.stub_channels:
+            raise ConfigError("stub_channels needs one or more values")
+        for key in ("volume_shape", "spacing"):
+            if len(getattr(self, key)) != 3:
+                raise ConfigError(f"{key} needs 3 values, got {getattr(self, key)}")
+        for keys, test, wording in _RANGES:
+            for key in keys:
+                v = getattr(self, key)
+                if not all(test(x) for x in (v if isinstance(v, (tuple, list)) else (v,))):
+                    raise ConfigError(f"{key} must be {wording}, got {v!r}")
+        if self.rank > min(self.feature_dim, self.stub_channels[-1]):
             raise ConfigError(
-                f"stub_channels must be one or more positive ints, got {self.stub_channels}"
+                f"rank must be at most min(feature_dim={self.feature_dim}, "
+                f"stub_channels[-1]={self.stub_channels[-1]}), got {self.rank}"
             )
-        if self.rank < 1 or self.rank > min(self.feature_dim, self.stub_channels[-1]):
+        if self.train_frac + self.val_frac >= 1.0:
             raise ConfigError(
-                f"rank must be in [1, min(feature_dim={self.feature_dim}, "
-                f"stub_channels[-1]={self.stub_channels[-1]})], got {self.rank}"
+                f"train_frac and val_frac must sum below 1, leaving the test split, "
+                f"got {self.train_frac} and {self.val_frac}"
             )
-        if self.router_hidden < 1:
-            raise ConfigError("router_hidden must be >= 1")
-        if self.num_classes < 1 or self.feature_dim < 1:
-            raise ConfigError("num_classes, feature_dim must be >= 1")
-        if len(self.volume_shape) != 3 or any(n < 8 for n in self.volume_shape):
-            raise ConfigError(f"volume_shape needs 3 dims >= 8, got {self.volume_shape}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ConfigError(f"spacing needs 3 positive values, got {self.spacing}")
-        if min(self.train_frac, self.val_frac) <= 0 or self.train_frac + self.val_frac >= 1.0:
+        if self.weight_clamp_lo > self.weight_clamp_hi:
             raise ConfigError(
-                f"train_frac and val_frac must be positive and sum below 1, leaving the "
-                f"test split, got {self.train_frac} and {self.val_frac}"
+                f"weight_clamp_lo ({self.weight_clamp_lo}) > weight_clamp_hi "
+                f"({self.weight_clamp_hi})"
             )
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
-        if not 0.0 < self.weight_clamp_lo <= self.weight_clamp_hi < 1.0:
-            raise ConfigError(
-                f"weight clamps must satisfy 0 < lo <= hi < 1, got "
-                f"({self.weight_clamp_lo}, {self.weight_clamp_hi})"
-            )
-        if self.lr_head <= 0 or self.lr_adapter <= 0:
-            raise ConfigError("learning rates must be positive")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("betas must be in [0, 1)")
-        if not 0.0 < self.sampler_threshold <= 1.0:
-            raise ConfigError("sampler_threshold must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.min_epochs < 1 or self.patience < 0:
-            raise ConfigError("min_epochs >= 1 and patience >= 0 required")
         if self.max_epochs < self.min_epochs:
             raise ConfigError(
                 f"max_epochs ({self.max_epochs}) < min_epochs ({self.min_epochs})"
             )
-        if self.num_samples < 1:
-            raise ConfigError("num_samples must be >= 1")
         return self
 
     def to_dict(self) -> dict:
@@ -133,49 +120,55 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """The config of a JSON object, such as `to_dict` wrote: each value
-        must have the type of its field's default (`_json_value`)."""
+        must have the type of its field's default (`_value`)."""
         unknown = set(d) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: _json_value(k, v) for k, v in d.items()}).validate()
+        return cls(**{k: _value(k, v) for k, v in d.items()}).validate()
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
+# (keys, test, wording): each value of the keys, and each element of a tuple
+# key, must pass the test; every test is a chained comparison, which NaN fails
+_RANGES = (
+    (("num_experts", "rank", "router_hidden", "feature_dim", "num_classes", "stub_channels",
+      "num_samples", "batch_size", "min_epochs", "max_epochs"), lambda x: 1 <= x, ">= 1"),
+    (("patience",), lambda x: 0 <= x, ">= 0"),
+    (("volume_shape",), lambda x: 8 <= x, ">= 8"),
+    (("lora_alpha", "spacing", "lr_head", "lr_adapter", "adam_eps", "clip_norm"),
+     lambda x: 0 < x < math.inf, "positive and finite"),
+    (("gamma", "weight_decay"), lambda x: 0 <= x < math.inf, "finite and >= 0"),
+    (("train_frac", "val_frac", "weight_clamp_lo", "weight_clamp_hi"),
+     lambda x: 0 < x < 1, "in (0, 1)"),
+    (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),
+    (("sampler_threshold",), lambda x: 0 < x <= 1, "in (0, 1]"),
+)
 
-def _json_value(key: str, v, default=None):
-    """JSON value v as the type of key's default, or of `default`, one of its
-    elements: a float also takes an int, and a bool is only a bool."""
-    kind = type(_FIELDS[key].default if default is None else default)
-    if kind is tuple and type(v) is list:
-        return tuple(_json_value(key, x, _FIELDS[key].default[0]) for x in v)
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _value(key: str, v, text: bool = False, kind: type | None = None):
+    """v as the type of key's default, or `kind`, one of its elements: a
+    float also takes an int, and a bool is only a bool. With `text`, v is a
+    config string, parsed first: bool words, int, float, or a comma list."""
+    default = _FIELDS[key].default
+    kind = kind or type(default)
+    if kind is tuple:
+        if text:
+            v = [p for p in v.split(",") if p.strip()]
+        if type(v) in (list, tuple):
+            return tuple(_value(key, x, text, type(default[0])) for x in v)
+    elif text:
+        v = v.strip()
+        try:
+            v = _BOOL_WORDS.get(v.lower(), v) if kind is bool else kind(v)
+        except ValueError:
+            pass  # still a str, which the type rule below rejects
     if type(v) is kind or (kind is float and type(v) is int):
         return kind(v)
     raise ConfigError(f"config key {key!r} takes {'a list' if kind is tuple else kind.__name__}, "
                       f"got {v!r}")
-
-
-def _parse_value(key: str, raw: str):
-    default = getattr(RunConfig(), key)
-    raw = raw.strip()
-    try:
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, tuple):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            elem = type(default[0])
-            return tuple(elem(p) for p in parts)
-        return raw
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} = {raw!r} as {type(default).__name__}")
 
 
 def _assign(cfg: RunConfig, item: str, where: str) -> None:
@@ -186,7 +179,7 @@ def _assign(cfg: RunConfig, item: str, where: str) -> None:
     key = key.strip()
     if key not in _FIELDS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    setattr(cfg, key, _parse_value(key, raw))
+    setattr(cfg, key, _value(key, raw, text=True))
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -199,10 +192,12 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text()).validate()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{getattr(e, 'strerror', None) or e}") from None
+    return parse_config_text(text).validate()
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

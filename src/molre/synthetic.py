@@ -33,6 +33,8 @@ BAND_RANGES = ((0.08, 0.32), (0.40, 0.60), (0.68, 0.92))
 
 TISSUE_HU = 30.0
 SKULL_HU = 700.0
+PREVALENCE_BASE = 0.4
+PREVALENCE_DECAY = 0.72
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,6 @@ class SynthConfig:
     num_classes: int = 12
     shape: tuple[int, int, int] = (32, 64, 64)  # (S, H, W)
     spacing: tuple[float, float, float] = (1.0, 1.0, 4.0)  # (x, y, z) mm
-    prevalence_base: float = 0.4
-    prevalence_decay: float = 0.72
 
     def __post_init__(self):
         if self.num_classes < 1:
@@ -51,9 +51,10 @@ class SynthConfig:
 
 
 def class_prevalences(cfg: SynthConfig) -> np.ndarray:
-    """Long-tailed marginal positive rates, base * decay**c per class."""
+    """Long-tailed marginal positive rates, PREVALENCE_BASE * PREVALENCE_DECAY**c
+    for class c."""
     c = np.arange(cfg.num_classes, dtype=np.float64)
-    return cfg.prevalence_base * cfg.prevalence_decay ** c
+    return PREVALENCE_BASE * PREVALENCE_DECAY ** c
 
 
 def class_archetype(c: int) -> tuple[int, int]:

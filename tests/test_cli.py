@@ -190,6 +190,19 @@ def test_config_file_error_exits_config(tmp_path):
     assert main(["count-params", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda p: p.write_bytes(b"\xff\xfemode = lora\n"),
+    lambda p: p.mkdir(),
+    lambda p: None,
+], ids=["not-utf8", "directory", "missing"])
+def test_a_config_file_that_cannot_be_read_exits_config(tmp_path, capsys, make):
+    path = tmp_path / "run.cfg"
+    make(path)
+    assert main(["count-params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and str(path) in err[0], err
+
+
 # -- train / eval ------------------------------------------------------------
 
 
@@ -249,7 +262,8 @@ def test_train_without_data_dir_exits_data(tmp_path):
     (["count-params"], 0, None),
     (["train"], 3, "data error:"),
     (["count-params", "--set", "nosuch=1"], 2, "config error:"),
-], ids=["ok", "data-error", "config-error"])
+    (["synth", "--set", "train_frac=nan"], 2, "config error: train_frac"),
+], ids=["ok", "data-error", "config-error", "config-error-nan"])
 def test_python_m_molre_exits_with_the_command_code(tmp_path, args, code, prefix):
     # the process entry point: `__main__` and the `sys.exit` in `cli.entry`
     src = Path(__file__).resolve().parents[1] / "src"
@@ -471,6 +485,8 @@ BAD_INPUTS = [
      "config key 'lr_head' takes float, got None"),
     ("ckpt-config-bool-for-int", "eval", _edit_ckpt_config(lambda c: c.update(batch_size=True)),
      "config key 'batch_size' takes int, got True"),
+    ("ckpt-config-nan", "eval", _edit_ckpt_config(lambda c: c.update(gamma=float("nan"))),
+     "checkpoint config: gamma must be finite and >= 0, got nan"),
     ("ckpt-name-not-utf8", "eval", _edit_ckpt(lambda raw: _append_json_record(raw, b"zz\xff", b"{}")),
      "record 'zz\ufffd' does not decode: 'utf-8' codec can't decode byte 0xff"),
     ("ckpt-json-does-not-parse", "eval",

@@ -1,8 +1,11 @@
+import dataclasses
+import math
 import re
 
 import pytest
 
 from molre.config import (
+    _RANGES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -133,3 +136,25 @@ def test_load_config_file(tmp_path):
     assert cfg.mode == "baseline-frozen" and cfg.seed == 11
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", math.nan), ("lr_head", math.nan), ("clip_norm", math.nan), ("train_frac", math.nan),
+    ("weight_decay", -1.0), ("clip_norm", -1.0), ("adam_eps", 0.0), ("lora_alpha", math.nan),
+    ("lr_head", math.inf),
+])
+def test_a_value_out_of_its_range_is_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        apply_overrides(RunConfig(), [f"{key}={value!r}"])
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        RunConfig.from_dict({key: value})
+
+
+UNBOUNDED = {"seed", "stub_seed", "data_seed"}
+
+
+def test_every_numeric_key_has_a_range_or_is_named_unbounded():
+    ranged = {key for keys, _, _ in _RANGES for key in keys}
+    numeric = {f.name for f in dataclasses.fields(RunConfig)
+               if type(f.default) in (int, float, tuple)}
+    assert numeric - UNBOUNDED == ranged and not ranged & UNBOUNDED
