@@ -16,6 +16,9 @@ changed (eval serves its split's rows, train the train and val rows, and
 only the val rows when `augment = true`), or when the store is cut short.
 Deleting the file only costs one rebuild.
 
+`train` writes `best.ckpt` at each epoch that improves the validation AUC
+and `last.ckpt` after the last epoch; each holds the state after its epoch
+(parameters, AdamW moments, step count), and the best parameters so far.
 `eval` rebuilds the run from the checkpoint's own config, with any `--set`
 applied on top.
 
@@ -157,7 +160,6 @@ def cmd_train(cfg: RunConfig) -> int:
         cfg, train_data, val_data, run_dir=run_dir, train_cache=feats[:n], val_cache=feats[n:],
     )
     result = trainer.train()
-    trainer.save_state(run_dir / "last.ckpt")
     print(
         f"stopped at epoch {result.stopped_epoch}; "
         f"best val mean AUC {result.best_val_auc:.4f} at epoch {result.best_epoch}; "

@@ -179,7 +179,10 @@ def _assign(cfg: RunConfig, item: str, where: str) -> None:
     key = key.strip()
     if key not in _FIELDS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    setattr(cfg, key, _value(key, raw, text=True))
+    try:
+        setattr(cfg, key, _value(key, raw, text=True))
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:

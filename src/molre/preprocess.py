@@ -3,7 +3,9 @@
 All geometry runs on the raw HU grid; windowing to [0, 1] channels is the
 last step before the network. Augmentation consumes its random draws in a
 fixed stage order (elastic, rotation, scaling, brightness, noise, mirror)
-so a given stream position always maps to the same transform.
+so a given stream position always maps to the same transform. As in
+nnU-Net's spatial transform, the three geometric stages move one grid of
+source coordinates, so an augmented study is interpolated once.
 """
 
 from __future__ import annotations
@@ -128,45 +130,34 @@ def _rotation_matrix(angles_rad: np.ndarray) -> np.ndarray:
 
 
 def augment(sample: VolumeSample, cfg: AugmentConfig, rng: RngStream) -> VolumeSample:
-    """Apply the augmentation chain in HU space. Out-of-field voxels fill
+    """Apply the augmentation chain in HU space. The elastic field displaces
+    each voxel's index, the displaced points are pulled back through the
+    inverse rotation and scaling, and the volume is interpolated once, or
+    not at all when no geometric stage is active. Out-of-field voxels fill
     with air. An identity config returns bitwise-identical voxels."""
     v = sample.voxels.astype(np.float64, copy=True)
     shape = v.shape
-    spacing_zyx = np.array(
-        [sample.spacing[2], sample.spacing[1], sample.spacing[0]], dtype=np.float64
-    )
+    spacing_zyx = np.array(sample.spacing[::-1], dtype=np.float64)
 
-    # 1) elastic deformation: smoothed random displacement field
+    # 1)-3) elastic field, rotation, scaling: one map from each output voxel
+    # to the source point it reads, then one trilinear interpolation
+    src = np.stack(np.indices(shape, dtype=np.float64), axis=-1)
     alpha = rng.uniform(cfg.elastic_alpha[0], cfg.elastic_alpha[1])
     if alpha > 0.0:
         sigma = rng.uniform(cfg.elastic_sigma[0], cfg.elastic_sigma[1])
-        base = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij")
-        coords = [
-            b + gaussian_filter(rng.uniform(-1.0, 1.0, size=shape), sigma) * alpha
-            for b in base
-        ]
-        v = map_coordinates(v, coords, order=1, mode="constant", cval=AIR_HU)
-
-    # 2) + 3) rotation then scaling, one shared resampling pass
+        for axis in range(3):
+            src[..., axis] += gaussian_filter(rng.uniform(-1.0, 1.0, size=shape), sigma) * alpha
     angles = rng.uniform(cfg.rotation_rad[0], cfg.rotation_rad[1], size=3)
     scales = rng.uniform(cfg.scale[0], cfg.scale[1], size=3)
-    if np.any(angles != 0.0) or np.any(scales != 1.0):
+    affine = np.any(angles != 0.0) or np.any(scales != 1.0)
+    if affine:
         center = (np.array(shape, dtype=np.float64) - 1.0) / 2.0
-        rot = _rotation_matrix(angles)
-        # content transform is scale(rotate(v)); pull back target points
-        # through the inverse: unscale per axis, then rotate by -angles
-        idx = np.stack(
-            np.meshgrid(*[np.arange(n, dtype=np.float64) for n in shape], indexing="ij"),
-            axis=-1,
-        )
-        phys = (idx - center) * spacing_zyx
-        phys = phys / scales
-        phys = phys @ rot  # rows transform by rot.T == inverse rotation
+        # content transform is scale(rotate(v)); pull the displaced points back
+        # through the inverse: unscale per axis, then rotate by -angles (rot.T)
+        phys = (src - center) * spacing_zyx / scales @ _rotation_matrix(angles)
         src = phys / spacing_zyx + center
-        v = map_coordinates(
-            v, [src[..., 0], src[..., 1], src[..., 2]],
-            order=1, mode="constant", cval=AIR_HU,
-        )
+    if alpha > 0.0 or affine:
+        v = map_coordinates(v, np.moveaxis(src, -1, 0), order=1, mode="constant", cval=AIR_HU)
 
     # 4) brightness
     gain = rng.uniform(cfg.brightness[0], cfg.brightness[1])

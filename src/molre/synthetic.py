@@ -24,7 +24,7 @@ from scipy.ndimage import gaussian_filter
 
 from .preprocess import AIR_HU
 from .rng import RngStream
-from .volumes import DataError, VolumeSample
+from .volumes import VolumeSample
 
 NUM_FAMILIES = 4
 NUM_BANDS = 3
@@ -42,12 +42,6 @@ class SynthConfig:
     num_classes: int = 12
     shape: tuple[int, int, int] = (32, 64, 64)  # (S, H, W)
     spacing: tuple[float, float, float] = (1.0, 1.0, 4.0)  # (x, y, z) mm
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise DataError("num_classes must be >= 1")
-        if any(n < 8 for n in self.shape):
-            raise DataError(f"volume shape too small: {self.shape}")
 
 
 def class_prevalences(cfg: SynthConfig) -> np.ndarray:

@@ -388,9 +388,14 @@ class Trainer:
         return record
 
     def train(self) -> TrainResult:
+        """Run epochs until early stopping or `max_epochs`. With a run_dir,
+        the state after the last epoch goes to `last.ckpt`; then the best
+        parameters are restored into the live model."""
         while self.epochs_done < self.cfg.max_epochs:
             if self.step_epoch()["stop"]:
                 break
+        if self.run_dir is not None:
+            self.save_state(self.run_dir / "last.ckpt")
         self.load_best_params()
         return TrainResult(
             best_epoch=self.stopper.best_epoch,
@@ -401,8 +406,9 @@ class Trainer:
 
     def load_best_params(self) -> None:
         """Restore the best-validation parameters into the live model."""
+        params = self.model.parameters()
         for name, data in self.best_params.items():
-            self.model.parameters()[name].data[...] = data
+            params[name].data[...] = data
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -69,6 +69,15 @@ def test_bad_value_types_rejected():
         parse_config_text("augment = definitely\n")
 
 
+def test_a_value_that_does_not_parse_names_its_line_or_set():
+    with pytest.raises(ConfigError) as e:
+        parse_config_text("mode = lora\nbatch_size = many\n")
+    assert str(e.value) == "line 2: config key 'batch_size' takes int, got 'many'"
+    with pytest.raises(ConfigError) as e:
+        apply_overrides(RunConfig(), ["mode=lora", "volume_shape=8,x,8"])
+    assert str(e.value) == "--set: config key 'volume_shape' takes int, got 'x'"
+
+
 def test_validate_rules():
     with pytest.raises(ConfigError):
         RunConfig(mode="resnet").validate()

@@ -202,6 +202,55 @@ def test_out_of_field_fills_with_air():
     assert out[4, 4, 4] == 500.0
 
 
+def test_elastic_rotation_and_scaling_compose_into_one_map():
+    # reference: the same draws from the same stream; the smoothed field
+    # displaces the index grid, the displaced points go back through the
+    # inverse scale-then-rotate, and the volume is interpolated once
+    from molre.preprocess import _rotation_matrix
+    from scipy.ndimage import gaussian_filter, map_coordinates
+    v = np.random.default_rng(9).uniform(-100.0, 300.0, (10, 14, 12))
+    sp = (0.8, 0.9, 2.5)
+    cfg = AugmentConfig(
+        elastic_alpha=(50.0, 200.0), elastic_sigma=(10.0, 13.0),
+        rotation_rad=(-0.1, 0.1), scale=(0.85, 1.15),
+        brightness=(1.0, 1.0), noise_var=(0.0, 0.0), mirror_p=0.0,
+    )
+    out = augment(_sample(v, sp), cfg, RngStream(4).child("augment", 1, "s0")).voxels
+
+    rng = RngStream(4).child("augment", 1, "s0")
+    alpha = rng.uniform(50.0, 200.0)
+    sigma = rng.uniform(10.0, 13.0)
+    grid = np.stack(np.meshgrid(*map(np.arange, v.shape), indexing="ij"), axis=-1).astype(float)
+    for axis in range(3):
+        grid[..., axis] += gaussian_filter(rng.uniform(-1.0, 1.0, size=v.shape), sigma) * alpha
+    rot = _rotation_matrix(rng.uniform(-0.1, 0.1, size=3))
+    scales = rng.uniform(0.85, 1.15, size=3)
+    center = (np.array(v.shape) - 1.0) / 2.0
+    spacing_zyx = np.array(sp[::-1])
+    src = (grid - center) * spacing_zyx / scales @ rot / spacing_zyx + center
+    want = map_coordinates(v, np.moveaxis(src, -1, 0), order=1, mode="constant", cval=AIR_HU)
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("cfg, calls", [
+    (AugmentConfig(), 1),
+    (AugmentConfig.identity(), 0),
+])
+def test_augment_interpolates_at_most_once(monkeypatch, cfg, calls):
+    import molre.preprocess
+    seen = []
+    real = molre.preprocess.map_coordinates
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(molre.preprocess, "map_coordinates", counting)
+    v = np.random.default_rng(10).normal(30.0, 100.0, (8, 12, 12))
+    augment(_sample(v), cfg, RngStream(5).child("augment", 1, "s0"))
+    assert len(seen) == calls
+
+
 def test_brightness_is_exact_gain():
     v = np.random.default_rng(4).normal(size=(4, 4, 4))
     cfg = AugmentConfig(

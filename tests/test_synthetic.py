@@ -17,7 +17,6 @@ from molre.synthetic import (
     sample_label_matrix,
     synth_sample,
 )
-from molre.volumes import DataError
 
 
 CFG = SynthConfig()
@@ -137,13 +136,6 @@ def test_synthetic_dataset_index_subset():
     assert len(ds) == 2
     assert np.array_equal(ds.labels[1], synth_sample(9, CFG, seed=7).labels)
     assert np.array_equal(ds.sample(0).voxels, synth_sample(4, CFG, seed=7).voxels)
-
-
-def test_config_validation():
-    with pytest.raises(DataError):
-        SynthConfig(num_classes=0)
-    with pytest.raises(DataError):
-        SynthConfig(shape=(4, 64, 64))
 
 
 # SHA-256 of synth_sample(i, SynthConfig(), seed=7).voxels: these samples hold

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import molre.training
-from molre.checkpoint import CheckpointError
+from molre.checkpoint import CheckpointError, load_checkpoint
 from molre.config import RunConfig
 from molre.model import build_model
 from molre.pipeline import SliceBackbone, VolumeBackbone
@@ -110,6 +110,25 @@ def test_trainer_reports_best_epoch_from_peaked_sequence(monkeypatch):
     # train() leaves the model with the best snapshot restored
     for name, t in trainer.model.parameters().items():
         assert np.array_equal(t.data, trainer.best_params[name]), name
+
+
+def test_last_ckpt_holds_the_last_epoch_and_best_ckpt_the_best(monkeypatch, tmp_path):
+    data = FakeDataset(8)
+    cfg = tiny_cfg(min_epochs=1, patience=2, max_epochs=50)
+    sequence = {1: 0.70, 2: 0.60, 3: 0.55}
+    monkeypatch.setattr(Trainer, "validate", lambda self: sequence[self.epochs_done + 1])
+    result = Trainer(cfg, data, data, run_dir=tmp_path / "run").train()
+    assert (result.best_epoch, result.stopped_epoch) == (1, 3)
+    replay = Trainer(cfg, data, data)
+    for _ in range(3):
+        replay.step_epoch()
+    last, sections = load_checkpoint(tmp_path / "run" / "last.ckpt")
+    best, _ = load_checkpoint(tmp_path / "run" / "best.ckpt")
+    assert sections["train_state"]["epoch"] == 3
+    params = replay.model.parameters()
+    for name, t in params.items():
+        assert np.array_equal(last[name], t.data), name
+    assert any(not np.array_equal(last[name], best[name]) for name in params)
 
 
 def test_trainer_respects_max_epochs(monkeypatch):
